@@ -171,7 +171,9 @@ def _seed_override() -> int | None:
 
 
 def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
-                 reference_path: str | None) -> int:
+                 reference_path: str | None) -> tuple[int, list, bench.Aggregate | None]:
+    """Run, write the outputs, and return (exit code, traces, aggregate);
+    the aggregate is None when every repeat diverged."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = bench.run_experiment(cfg, threads=threads)
     for i, trace in enumerate(traces):
@@ -183,7 +185,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
                    "fingerprint": cfg.fingerprint()}
         (out_dir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return 3
+        return 3, traces, None
     bench.write_aggregate_csv(agg, out_dir / "aggregate.csv")
     summary = {
         "status": "ok",
@@ -200,7 +202,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
         except (OSError, ValueError) as exc:
             print(f"error: reference aggregate {reference_path}: {exc}",
                   file=sys.stderr)
-            return 2
+            return 2, traces, agg
         target = ref.final_mean_gap()
         summary["reference_final_mean_gap"] = target
         summary["speedup_vs_reference"] = speed = bench.speedup(ref, agg, target)
@@ -208,7 +210,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
             summary["speedup_vs_reference"] = "unreachable"
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0
+    return 0, traces, agg
 
 
 def cmd_run(args) -> int:
@@ -222,7 +224,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _execute_run(cfg, Path(args.out), args.threads, args.reference)
+    return _execute_run(cfg, Path(args.out), args.threads, args.reference)[0]
 
 
 def cmd_verify(args) -> int:
@@ -282,13 +284,7 @@ def cmd_sweep(args) -> int:
 
     results = {}
     for name, cfg in cells:
-        code = _execute_run(cfg, out_dir / name, args.threads, None)
-        traces = None
-        agg = None
-        if code == 0:
-            traces = [bench.read_trace_csv(out_dir / name / f"trace_r{i}.csv")
-                      for i in range(cfg.repeats)]
-            agg = bench.read_aggregate_csv(out_dir / name / "aggregate.csv")
+        _, traces, agg = _execute_run(cfg, out_dir / name, args.threads, None)
         results[name] = (agg, traces)
 
     ref_agg, ref_traces = results[reference]

@@ -14,10 +14,15 @@ it, the estimator is unbiased for the ball-smoothed gradient, which is
 what the averaged-history expectation and optimal-baseline checks rely
 on.  Gaussian directions need no correction (their second moment is the
 identity) and coordinate directions follow the plain averaged form.
+
+Every estimator draws an iteration's k queries through
+:func:`query_block`.  The history-reuse estimator keeps the n*k most
+recent queries in a :class:`HistoryBuffer` of two flat arrays, direction
+seeds and observed values; directions are re-materialised from the
+seeds when the estimate is formed, so the history costs O(n*k) scalars.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from . import sampling
-from .sampling import DirectionSpec, DistTag
+from .sampling import DistTag
 
 
 class InsufficientHistoryError(ValueError):
@@ -55,76 +60,70 @@ class EstimatorConfig:
             raise ValueError("history reuse requires n*k >= 2")
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One black-box evaluation: direction spec, observed value, iteration."""
-
-    dir: DirectionSpec
-    value: float
-    iteration: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"query value must be finite, got {self.value}")
-        if self.iteration < 1:
-            raise ValueError(f"iteration must be >= 1, got {self.iteration}")
-
-
 class HistoryBuffer:
-    """Ring of the n*k most recent query records, oldest first.
+    """Ring of the n*k most recent queries as flat arrays, oldest first.
 
-    ``push_block`` appends exactly one iteration's block of k records and
-    evicts the oldest block once the buffer would exceed n*k entries.
+    ``seeds`` (uint64) and ``values`` (float64) hold one entry per query,
+    all drawn from one direction law ``tag`` in dimension ``dim``; both
+    are views that the next ``push_block`` overwrites.
+    ``push_block`` appends exactly one iteration's block of k queries and
+    drops the oldest block once the ring holds n*k entries.
     """
 
-    def __init__(self, block_size: int, depth: int):
+    def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int):
         if block_size < 1 or depth < 1:
             raise ValueError("block_size and depth must be >= 1")
         self.block_size = block_size
         self.depth = depth
-        self._records: deque[QueryRecord] = deque(maxlen=block_size * depth)
+        self.tag = DistTag(tag)
+        self.dim = dim
+        self._seeds = np.zeros(block_size * depth, dtype=np.uint64)
+        self._values = np.zeros(block_size * depth)
+        self._filled = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._filled
 
     @property
-    def capacity(self) -> int:
-        return self.block_size * self.depth
+    def seeds(self) -> np.ndarray:
+        return self._seeds[self._seeds.size - self._filled:]
 
     @property
-    def records(self) -> tuple[QueryRecord, ...]:
-        return tuple(self._records)
-
-    def push_block(self, records: Sequence[QueryRecord]) -> None:
-        if len(records) != self.block_size:
-            raise ValueError(
-                f"expected a block of {self.block_size} records, got {len(records)}")
-        self._records.extend(records)
-
     def values(self) -> np.ndarray:
-        return np.array([r.value for r in self._records])
+        return self._values[self._values.size - self._filled:]
 
-    def direction_seeds(self) -> np.ndarray:
-        return np.array([r.dir.seed for r in self._records], dtype=np.uint64)
-
-    def direction_layout(self) -> tuple[DistTag, int]:
-        if not self._records:
-            raise ValueError("empty history buffer")
-        tags = {r.dir.tag for r in self._records}
-        dims = {r.dir.dim for r in self._records}
-        if len(tags) > 1 or len(dims) > 1:
-            raise ValueError("history buffer mixes direction tags or dimensions")
-        return next(iter(tags)), next(iter(dims))
-
-
-def push_block(buffer: HistoryBuffer, records: Sequence[QueryRecord]) -> HistoryBuffer:
-    buffer.push_block(records)
-    return buffer
+    def push_block(self, seeds, values) -> None:
+        k = self.block_size
+        if len(seeds) != k or len(values) != k:
+            raise ValueError(f"expected a block of {k} queries, got "
+                             f"{len(seeds)} seeds and {len(values)} values")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("query values must be finite")
+        self._seeds[:-k] = self._seeds[k:]
+        self._seeds[-k:] = seeds
+        self._values[:-k] = self._values[k:]
+        self._values[-k:] = values
+        self._filled = min(self._filled + k, self._seeds.size)
 
 
 def direction_scale(tag: DistTag, dim: int) -> float:
     """Estimator prefactor for the direction law (see module docstring)."""
     return float(dim) if tag is DistTag.SPHERE else 1.0
+
+
+def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, iteration: int,
+                master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate one iteration's k perturbed points theta + mu*u_j.
+
+    Returns (seeds, dirs, values): the direction seeds, the (k, d)
+    directions they materialise to, and the k observed values, all
+    sharing the iteration's noise seed.
+    """
+    seeds = sampling.direction_seeds(master_seed, iteration, cfg.k)
+    dirs = kernels.materialize_block(seeds, int(cfg.tag), theta.shape[0])
+    nseed = sampling.noise_seed(master_seed, iteration)
+    values = np.atleast_1d(obj.eval(theta[None, :] + cfg.mu * dirs, nseed))
+    return seeds, dirs, values
 
 
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
@@ -137,13 +136,8 @@ def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
     """
     theta = sampling.as_params(theta)
     d = theta.shape[0]
-    nseed = sampling.noise_seed(master_seed, iteration)
-    seeds = np.array(
-        [sampling.direction_seed(master_seed, iteration, k) for k in range(1, cfg.k + 1)],
-        dtype=np.uint64)
-    dirs = kernels.materialize_block(seeds, int(cfg.tag), d)
-    y0 = obj.eval(theta, nseed)
-    yk = np.atleast_1d(obj.eval(theta[None, :] + cfg.mu * dirs, nseed))
+    _, dirs, yk = query_block(obj, theta, cfg, iteration, master_seed)
+    y0 = obj.eval(theta, sampling.noise_seed(master_seed, iteration))
     coeffs = (yk - y0) / cfg.mu
     if gamma is not None:
         coeffs = gamma * coeffs
@@ -236,31 +230,24 @@ def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
     return ISEstimate(grad, queries, gamma, ln_gamma, scaled=True)
 
 
-def averaged_baseline(buffer: HistoryBuffer) -> float:
-    """Arithmetic mean of every stored query value."""
-    if len(buffer) == 0:
-        raise ValueError("empty history buffer")
-    return float(buffer.values().mean())
-
-
 def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
-    """History-reuse gradient estimate from all buffered records.
+    """History-reuse gradient estimate from all buffered queries.
 
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
-    averaged baseline; directions are re-materialised from their seeds.
-    Consumes no new queries.
+    averaged baseline, the mean of every stored value; directions are
+    re-materialised from their seeds and summed in ring order.  Consumes
+    no new queries.
     """
     m = len(buffer)
     if m < 2:
         raise InsufficientHistoryError(
             f"history estimate needs at least 2 records, buffer holds {m}")
-    tag, dim = buffer.direction_layout()
-    values = buffer.values()
+    values = buffer.values
     baseline = values.mean()
     coeffs = (values - baseline) / mu
-    grad = kernels.weighted_direction_sum(buffer.direction_seeds(), int(tag),
-                                          dim, coeffs)
-    grad *= direction_scale(tag, dim) / (m - 1)
+    grad = kernels.weighted_direction_sum(buffer.seeds, int(buffer.tag),
+                                          buffer.dim, coeffs)
+    grad *= direction_scale(buffer.tag, buffer.dim) / (m - 1)
     return grad
 
 

@@ -66,12 +66,18 @@ def _ackley(theta: np.ndarray) -> np.ndarray:
 
 
 def _levy(theta: np.ndarray) -> np.ndarray:
+    # squares are written x*x: ``**2`` on a 0-d value goes through pow,
+    # which can round differently from the array path's square, so a lone
+    # point would not match its row in a batch
     w = 1.0 + (theta - 1.0) / 4.0
-    head = np.sin(np.pi * w[..., 0]) ** 2
+    s0 = np.sin(np.pi * w[..., 0])
+    head = s0 * s0
     wi = w[..., :-1]
-    mid = np.sum((wi - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * wi + 1.0) ** 2), axis=-1)
+    si = np.sin(np.pi * wi + 1.0)
+    mid = np.sum((wi - 1.0) * (wi - 1.0) * (1.0 + 10.0 * (si * si)), axis=-1)
     wl = w[..., -1]
-    tail = (wl - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * wl) ** 2)
+    sl = np.sin(2.0 * np.pi * wl)
+    tail = (wl - 1.0) * (wl - 1.0) * (1.0 + sl * sl)
     return head + mid + tail
 
 

@@ -7,10 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels as kernels
 from . import estimators, objectives, sampling
-from .estimators import EstimatorConfig, HistoryBuffer, QueryRecord
-from .sampling import DirectionSpec
+from .estimators import EstimatorConfig, HistoryBuffer
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -130,21 +128,6 @@ class Trace:
         return self.rows[-1].gap
 
 
-def _new_block(obj, theta, cfg: EstimatorConfig, iteration: int, master_seed: int):
-    """Query k fresh perturbed points; returns (records, queries)."""
-    d = theta.shape[0]
-    seeds = [sampling.direction_seed(master_seed, iteration, k)
-             for k in range(1, cfg.k + 1)]
-    dirs = kernels.materialize_block(np.array(seeds, dtype=np.uint64),
-                                     int(cfg.tag), d)
-    nseed = sampling.noise_seed(master_seed, iteration)
-    values = np.atleast_1d(obj.eval(theta[None, :] + cfg.mu * dirs, nseed))
-    records = [QueryRecord(dir=DirectionSpec(seed=s, tag=cfg.tag, dim=d),
-                           value=float(y), iteration=iteration)
-               for s, y in zip(seeds, values)]
-    return records, cfg.k
-
-
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
                      est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig,
                      iterations: int, master_seed: int, theta0) -> Trace:
@@ -158,7 +141,7 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
     theta = sampling.as_params(theta0, obj.dim)
     if estimator_kind is EstimatorKind.ZOAR:
         est_cfg.require_reusable()
-        buffer = HistoryBuffer(block_size=est_cfg.k, depth=est_cfg.n)
+        buffer = HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, obj.dim)
     grad_history: list[np.ndarray] = []
 
     state = MomentState.zeros(obj.dim)
@@ -170,12 +153,17 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
     for t in range(1, iterations + 1):
         tic = time.perf_counter()
         if estimator_kind is EstimatorKind.ZOAR:
-            records, queries = _new_block(obj, theta, est_cfg, t, master_seed)
-            buffer.push_block(records)
+            seeds, dirs, values = estimators.query_block(obj, theta, est_cfg, t,
+                                                         master_seed)
+            # free the block's (k, d) directions before the reduction
+            # re-materialises all n*k of them, or peak memory grows
+            del dirs
+            buffer.push_block(seeds, values)
+            queries = est_cfg.k
             if len(buffer) >= 2:
                 grad = estimators.zoar_estimate(buffer, est_cfg.mu)
             else:
-                # k = 1 warm-up: a single record pins the baseline to its
+                # k = 1 warm-up: a single query pins the baseline to its
                 # own value, so the estimate is identically zero
                 grad = np.zeros(obj.dim)
         elif estimator_kind is EstimatorKind.ZOHS:

@@ -1,7 +1,7 @@
-"""Seeded perturbation directions and small vector helpers.
+"""Seeded perturbation directions and seed derivation.
 
-Directions are never stored as vectors: a :class:`DirectionSpec` holds a
-64-bit seed plus a distribution tag and can be re-materialised on demand,
+Directions are never stored as vectors: a direction is a 64-bit seed
+plus a distribution tag and dimension, and is re-materialised on demand,
 bit-identically, on any machine (see :mod:`zoar._kernels` for the exact
 generator contract).  Seeds for the k-th direction of iteration t are
 derived from the master seed by the fixed chain
@@ -9,12 +9,11 @@ derived from the master seed by the fixed chain
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
-from ._kernels import MASK64, fold, np_fold
+from ._kernels import fold, np_fold
 
 # namespace labels for seed derivation; fixed, part of the stream contract
 NS_DIRECTION = 0x01
@@ -40,28 +39,15 @@ class DistTag(enum.IntEnum):
             raise ValueError(f"unknown distribution tag: {name!r}") from None
 
 
-@dataclass(frozen=True)
-class DirectionSpec:
-    """Regenerable perturbation direction: (seed, tag, dim)."""
-
-    seed: int
-    tag: DistTag
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError(f"seed out of 64-bit range: {self.seed}")
-        if self.dim < 1:
-            raise ValueError(f"direction dimension must be >= 1, got {self.dim}")
-
-
-def materialize(spec: DirectionSpec) -> np.ndarray:
-    """Regenerate the direction vector for ``spec`` (deterministic)."""
-    return kernels.materialize(spec.seed, int(spec.tag), spec.dim)
-
-
 def direction_seed(master_seed: int, iteration: int, k: int) -> int:
     return fold(fold(fold(master_seed, NS_DIRECTION), iteration), k)
+
+
+def direction_seeds(master_seed: int, iteration: int, k: int) -> np.ndarray:
+    """Seeds of directions 1..k of one iteration; entry j-1 is
+    ``direction_seed(master_seed, iteration, j)``."""
+    root = fold(fold(master_seed, NS_DIRECTION), iteration)
+    return np_fold(np.uint64(root), np.arange(1, k + 1, dtype=np.uint64))
 
 
 def noise_seed(master_seed: int, iteration: int) -> int:
@@ -104,27 +90,3 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameter vector contains non-finite entries")
     return theta
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_dim(a, b)
-    return float(np.dot(a, b))
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_same_dim(x, y)
-    return alpha * x + y
-
-
-def norm2(a) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.dot(a, a)))

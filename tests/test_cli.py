@@ -1,6 +1,7 @@
 import json
 
-from zoar import cli
+from zoar import bench, cli
+from zoar.optimizers import Trace, TraceRow
 
 MINIMAL = """
 [objective]
@@ -181,6 +182,45 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert run_cli("sweep", str(cfg), "--out", str(sweep_out)) == 0
     assert ((sweep_out / "all" / "aggregate.csv").read_bytes()
             == (run_out / "aggregate.csv").read_bytes())
+
+
+def _trace(gaps, queries, status="completed"):
+    rows = [TraceRow(i, q, g, g, 0.0) for i, (g, q) in enumerate(zip(gaps, queries))]
+    return Trace(rows=rows, status=status,
+                 diverged_at=len(rows) if status == "diverged" else None)
+
+
+def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
+    # reference cell (n=1) reaches its final gap 1.0 at iteration 3 after
+    # 30 queries; the candidate cell (n=2) reaches it at iteration 1 after
+    # 5 queries in its completed repeat, while its diverged repeat, whose
+    # rows still reach iteration 1, spent 100 there and must not count
+    def fake_run_experiment(cfg, threads=1):
+        if cfg.estimator.n == 1:
+            return [_trace([4.0, 3.0, 2.0, 1.0], [0, 10, 20, 30])] * 2
+        return [_trace([4.0, 1.0, 1.0, 1.0], [0, 5, 10, 15]),
+                _trace([4.0, 1.0, 1.0], [0, 100, 200], status="diverged")]
+
+    monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[estimator]\nn = [1, 2]\n\n[run]\nrepeats = 2\n")
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+    table = (out / "speedup.csv").read_text().splitlines()
+    assert table[2] == "estimator.n=2,1.0,3.0,6.0"
+
+
+def test_sweep_keeps_results_in_memory(tmp_path, monkeypatch):
+    def no_read_back(path):
+        raise AssertionError(f"sweep read {path} back from disk")
+
+    monkeypatch.setattr(bench, "read_trace_csv", no_read_back)
+    monkeypatch.setattr(bench, "read_aggregate_csv", no_read_back)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(MINIMAL.replace("n = 2", "n = [1, 2]"))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+    assert len((out / "speedup.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_unknown_reference(tmp_path):

@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 import zoar._kernels as kernels
 from zoar import sampling, verify
 from zoar.estimators import (EstimatorConfig, HistoryBuffer, InsufficientHistoryError,
-                             QueryRecord, averaged_baseline, c_n_constant,
-                             fd_estimate, gamma_factor, push_block,
+                             c_n_constant, fd_estimate, gamma_factor,
                              reinforce_gs_estimate, reinforce_is_estimate,
                              zoar_estimate, zohs_estimate)
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.sampling import DirectionSpec, DistTag
+from zoar.sampling import DistTag
 
 
-def coord_spec(dim: int, index: int) -> DirectionSpec:
+def coord_seed(dim: int, index: int) -> int:
     """Search for a seed whose coordinate direction is e_index."""
     for seed in range(100000):
-        spec = DirectionSpec(seed=seed, tag=DistTag.COORDINATE, dim=dim)
-        if sampling.materialize(spec)[index] == 1.0:
-            return spec
+        if kernels.materialize(seed, int(DistTag.COORDINATE), dim)[index] == 1.0:
+            return seed
     raise AssertionError("no seed found")
 
 
@@ -97,6 +95,54 @@ def test_score_function_identity_is_exact():
         g2, q2 = reinforce_gs_estimate(spec, theta, cfg, 2, 77)
         assert q1 == q2 == k + 1
         assert np.array_equal(g1, g2)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_literal_score_function_matches_fd_within_ulp_bound(kind, sigma):
+    """The paper's identity, computed literally on the score-function side.
+
+    With x_k = theta + mu*u_k the score-function estimate is
+    (1/k) sum_k (x_k - theta)/mu^2 * (f(x_k) - f(theta)).  In floating
+    point x_k - theta recovers mu*u_k only up to the rounding of mu*u_k,
+    of theta + mu*u_k and of the subtraction, so per component j
+
+        |x_kj - theta_j - mu*u_kj| <= u * (mu|u_kj| + 2|x_kj| + |theta_j|)
+
+    to first order in the unit roundoff u.  Each side adds at most three
+    roundings per term, k - 1 in the sum over k and two in the 1/k
+    scaling, every one below u times the same magnitude.  Hence
+
+        |score_j - fd_j| <= (2k + 8) * u * (1/k) * sum_k T_kj,
+        T_kj = |f(x_k) - f(theta)| / mu^2 * (mu|u_kj| + 2|x_kj| + |theta_j|).
+    """
+    for case in range(6):
+        d = 2 + 3 * case
+        k = 1 + 2 * case
+        mu = (0.5, 0.05, 0.01)[case % 3]
+        spec = ObjectiveSpec(kind, d, noise_sigma=sigma)
+        theta = 2.0 * kernels.uniform_doubles(100 + case, d) - 1.0
+        cfg = EstimatorConfig(mu=mu, k=k, tag=DistTag.GAUSSIAN)
+        master, t = 4242 + case, 3
+        g, _ = fd_estimate(spec, theta, cfg, t, master)
+
+        seeds = np.array([sampling.direction_seed(master, t, j) for j in range(1, k + 1)],
+                         dtype=np.uint64)
+        dirs = kernels.materialize_block(seeds, int(DistTag.GAUSSIAN), d)
+        nseed = sampling.noise_seed(master, t)
+        x = theta + mu * dirs
+        dy = np.atleast_1d(spec.eval(x, nseed)) - spec.eval(theta, nseed)
+        score = np.sum((x - theta) / (mu * mu) * dy[:, None], axis=0) / k
+
+        terms = (np.abs(dy)[:, None] / (mu * mu)
+                 * (mu * np.abs(dirs) + 2.0 * np.abs(x) + np.abs(theta)))
+        bound = (2 * k + 8) * UNIT_ROUNDOFF * terms.sum(axis=0) / k
+        assert np.all(np.abs(score - g) <= bound), (case, np.abs(score - g) / bound)
+        # the bound is tight enough to catch a relative error of 1e-9
+        assert np.all(bound <= 1e-9 * np.abs(g).max())
 
 
 def test_score_function_requires_gaussian():
@@ -176,98 +222,96 @@ def test_is_overflow_returns_unscaled_with_flag():
 # ---------------------------------------------------------------------------
 # history buffer
 
-def _record(value, iteration=1, dim=2, seed=0):
-    return QueryRecord(dir=DirectionSpec(seed=seed, tag=DistTag.COORDINATE, dim=dim),
-                       value=value, iteration=iteration)
+def _ring(k, n, dim=2):
+    return HistoryBuffer(block_size=k, depth=n, tag=DistTag.COORDINATE, dim=dim)
 
 
 def test_push_block_ring_semantics():
-    buf = HistoryBuffer(block_size=3, depth=2)
-    push_block(buf, [_record(float(i)) for i in range(3)])
+    buf = _ring(3, 2)
+    buf.push_block([0, 1, 2], [0.0, 1.0, 2.0])
     assert len(buf) == 3
-    push_block(buf, [_record(float(i + 3)) for i in range(3)])
+    buf.push_block([3, 4, 5], [3.0, 4.0, 5.0])
     assert len(buf) == 6
-    push_block(buf, [_record(float(i + 6)) for i in range(3)])
+    buf.push_block([6, 7, 8], [6.0, 7.0, 8.0])
     assert len(buf) == 6
-    assert [r.value for r in buf.records] == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert buf.values.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert buf.seeds.tolist() == [3, 4, 5, 6, 7, 8]
+    assert buf.seeds.dtype == np.uint64
 
 
 def test_push_block_size_checked():
-    buf = HistoryBuffer(block_size=2, depth=2)
+    buf = _ring(2, 2)
     with pytest.raises(ValueError):
-        buf.push_block([_record(1.0)])
+        buf.push_block([1], [1.0])
+    with pytest.raises(ValueError):
+        buf.push_block([1, 2], [1.0])
 
 
 def test_depth_one_keeps_latest_block():
-    buf = HistoryBuffer(block_size=2, depth=1)
+    buf = _ring(2, 1)
     for t in range(1, 5):
-        buf.push_block([_record(float(t), iteration=t), _record(float(t), iteration=t)])
-        assert [r.iteration for r in buf.records] == [t, t]
+        buf.push_block([t, t], [float(t), float(t)])
+        assert buf.seeds.tolist() == [t, t]
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 5), n=st.integers(1, 5), total=st.integers(1, 20))
 def test_buffer_holds_most_recent_iterations(k, n, total):
-    buf = HistoryBuffer(block_size=k, depth=n)
+    # each block's seeds carry the iteration that pushed it
+    buf = _ring(k, n)
     for t in range(1, total + 1):
-        buf.push_block([_record(0.0, iteration=t) for _ in range(k)])
-    kept = sorted({r.iteration for r in buf.records})
+        buf.push_block([t] * k, [0.0] * k)
+    kept = sorted(set(buf.seeds.tolist()))
     assert kept == list(range(max(1, total - n + 1), total + 1))
+    assert len(buf) == k * min(n, total)
 
 
-def test_averaged_baseline():
-    buf = HistoryBuffer(block_size=2, depth=2)
-    buf.push_block([_record(1.0), _record(3.0)])
-    assert averaged_baseline(buf) == 2.0
-    buf.push_block([_record(0.0), _record(2.0)])
-    assert averaged_baseline(buf) == 1.5
-    const = HistoryBuffer(block_size=2, depth=1)
-    const.push_block([_record(4.25), _record(4.25)])
-    assert averaged_baseline(const) == 4.25
-    with pytest.raises(ValueError):
-        averaged_baseline(HistoryBuffer(block_size=1, depth=1))
+def test_zoar_baseline_is_mean_of_ring():
+    # one coordinate direction per query: component i of the estimate is
+    # the sum of (y - b)/mu over the queries along e_i, so it exposes b
+    e0, e1 = coord_seed(2, 0), coord_seed(2, 1)
+    buf = _ring(2, 2)
+    buf.push_block([e0, e1], [1.0, 3.0])
+    assert np.array_equal(zoar_estimate(buf, mu=1.0), [1.0 - 2.0, 3.0 - 2.0])
+    buf.push_block([e0, e0], [0.0, 2.0])
+    # b = 1.5 over all four values, oldest block included
+    assert np.allclose(zoar_estimate(buf, mu=1.0), [-0.5, 0.5], rtol=1e-15, atol=0)
+    const = _ring(2, 1)
+    const.push_block([e0, e1], [4.25, 4.25])
+    assert np.array_equal(zoar_estimate(const, mu=1.0), np.zeros(2))
 
 
-def test_query_record_validation():
-    with pytest.raises(ValueError):
-        _record(float("nan"))
-    with pytest.raises(ValueError):
-        _record(1.0, iteration=0)
+def test_push_block_rejects_non_finite():
+    buf = _ring(2, 2)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            buf.push_block([1, 2], [1.0, bad])
+    assert len(buf) == 0
 
 
 # ---------------------------------------------------------------------------
 # the reuse estimator
 
 def test_zoar_hand_example():
-    # two records: (e1, y=1), (e2, y=3), mu = 0.5 -> baseline 2, g = (-2, 2)
-    buf = HistoryBuffer(block_size=1, depth=2)
-    buf.push_block([QueryRecord(dir=coord_spec(2, 0), value=1.0, iteration=1)])
-    buf.push_block([QueryRecord(dir=coord_spec(2, 1), value=3.0, iteration=2)])
+    # two queries: (e1, y=1), (e2, y=3), mu = 0.5 -> baseline 2, g = (-2, 2)
+    buf = HistoryBuffer(block_size=1, depth=2, tag=DistTag.COORDINATE, dim=2)
+    buf.push_block([coord_seed(2, 0)], [1.0])
+    buf.push_block([coord_seed(2, 1)], [3.0])
     grad = zoar_estimate(buf, mu=0.5)
     assert np.array_equal(grad, np.array([-2.0, 2.0]))
 
 
 def test_zoar_equal_values_gives_zero():
-    buf = HistoryBuffer(block_size=2, depth=2)
-    buf.push_block([QueryRecord(coord_spec(3, 0), 5.0, 1),
-                    QueryRecord(coord_spec(3, 1), 5.0, 1)])
-    buf.push_block([QueryRecord(coord_spec(3, 2), 5.0, 2),
-                    QueryRecord(coord_spec(3, 1), 5.0, 2)])
+    buf = _ring(2, 2, dim=3)
+    buf.push_block([coord_seed(3, 0), coord_seed(3, 1)], [5.0, 5.0])
+    buf.push_block([coord_seed(3, 2), coord_seed(3, 1)], [5.0, 5.0])
     assert np.array_equal(zoar_estimate(buf, mu=0.1), np.zeros(3))
 
 
 def test_zoar_requires_two_records():
-    buf = HistoryBuffer(block_size=1, depth=4)
-    buf.push_block([_record(1.0)])
+    buf = _ring(1, 4)
+    buf.push_block([0], [1.0])
     with pytest.raises(InsufficientHistoryError):
-        zoar_estimate(buf, mu=0.1)
-
-
-def test_zoar_mixed_layout_rejected():
-    buf = HistoryBuffer(block_size=1, depth=2)
-    buf.push_block([QueryRecord(DirectionSpec(1, DistTag.SPHERE, 3), 1.0, 1)])
-    buf.push_block([QueryRecord(DirectionSpec(2, DistTag.GAUSSIAN, 3), 2.0, 2)])
-    with pytest.raises(ValueError):
         zoar_estimate(buf, mu=0.1)
 
 

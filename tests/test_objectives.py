@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zoar._kernels as kernels
 from zoar import objectives, sampling
@@ -37,6 +39,19 @@ def test_batch_evaluation_matches_scalar():
     batch = obj_eval(spec, pts)
     for i in range(4):
         assert batch[i] == obj_eval(spec, pts[i])
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("dim", [2, 5, 10])
+@settings(max_examples=25, deadline=None)
+@example(seed=2, scale=4.0)  # two Levy rows here once differed from their lone points
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 4.0, 10.0]))
+def test_point_value_matches_batch_row_bitwise(kind, dim, seed, scale):
+    spec = ObjectiveSpec(kind, dim)
+    pts = scale * (2.0 * kernels.uniform_doubles(seed, 500 * dim) - 1.0).reshape(500, dim)
+    batch = objectives.clean_value(spec, pts)
+    for i in range(pts.shape[0]):
+        assert objectives.clean_value(spec, pts[i]) == batch[i]
 
 
 def test_noise_deterministic_and_point_keyed():

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zoar._kernels as kernels
 from zoar import sampling
-from zoar.sampling import DirectionSpec, DistTag
+from zoar.sampling import DistTag
 
 
 def test_coordinate_is_basis_vector():
-    u = sampling.materialize(DirectionSpec(seed=11, tag=DistTag.COORDINATE, dim=3))
+    u = kernels.materialize(11, int(DistTag.COORDINATE), 3)
     assert sorted(u) == [0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 10, 100, 1000, 10000])
 def test_sphere_unit_norm(dim):
     for seed in (0, 3, 99):
-        u = sampling.materialize(DirectionSpec(seed=seed, tag=DistTag.SPHERE, dim=dim))
+        u = kernels.materialize(seed, int(DistTag.SPHERE), dim)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
@@ -26,17 +27,11 @@ def test_sphere_unit_norm(dim):
        tag=st.sampled_from(list(DistTag)),
        dim=st.integers(min_value=1, max_value=64))
 def test_materialize_deterministic(seed, tag, dim):
-    spec = DirectionSpec(seed=seed, tag=tag, dim=dim)
-    assert np.array_equal(sampling.materialize(spec), sampling.materialize(spec))
-
-
-def test_invalid_dimension_rejected():
-    with pytest.raises(ValueError):
-        DirectionSpec(seed=1, tag=DistTag.GAUSSIAN, dim=0)
+    assert np.array_equal(kernels.materialize(seed, int(tag), dim),
+                          kernels.materialize(seed, int(tag), dim))
 
 
 def test_gaussian_sample_statistics():
-    import zoar._kernels as kernels
     n = 100000
     draws = kernels.standard_normals(123, n)
     assert abs(draws.mean()) < 4.0 / math.sqrt(n)
@@ -44,37 +39,12 @@ def test_gaussian_sample_statistics():
 
 
 def test_coordinate_index_frequencies():
-    import zoar._kernels as kernels
     n, d = 100000, 10
     seeds = kernels.np_fold(np.uint64(5), np.arange(n, dtype=np.uint64))
     dirs = kernels.materialize_block(seeds, int(DistTag.COORDINATE), d)
     counts = dirs.sum(axis=0)
     sigma = math.sqrt(n * (1 / d) * (1 - 1 / d))
     assert np.all(np.abs(counts - n / d) < 4.0 * sigma)
-
-
-def test_dot_axpy_norm2_examples():
-    assert sampling.dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert sampling.norm2([3.0, 4.0]) == 5.0
-    assert np.array_equal(sampling.axpy(2.0, [1.0, 1.0], [0.0, 1.0]),
-                          np.array([2.0, 3.0]))
-
-
-def test_vector_ops_dimension_mismatch():
-    with pytest.raises(ValueError):
-        sampling.dot([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sampling.axpy(1.0, [1.0], [1.0, 2.0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-       st.floats(-100, 100))
-def test_axpy_matches_reference(xs, ys, alpha):
-    n = min(len(xs), len(ys))
-    x, y = np.array(xs[:n]), np.array(ys[:n])
-    assert np.array_equal(sampling.axpy(alpha, x, y), alpha * x + y)
 
 
 def test_as_params_validation():
@@ -92,6 +62,16 @@ def test_seed_derivation_distinct_and_stable():
     others = {sampling.direction_seed(7, t, k) for t in range(1, 20) for k in range(1, 20)}
     assert len(others) == 19 * 19
     assert sampling.noise_seed(7, 1) not in others
+
+
+@settings(max_examples=40, deadline=None)
+@given(master=st.integers(0, 2**64 - 1), iteration=st.integers(1, 10**6),
+       k=st.integers(1, 12))
+def test_direction_seeds_match_scalar_chain(master, iteration, k):
+    seeds = sampling.direction_seeds(master, iteration, k)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [sampling.direction_seed(master, iteration, j)
+                              for j in range(1, k + 1)]
 
 
 def test_point_digest_order_sensitive():

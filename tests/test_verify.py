@@ -5,14 +5,14 @@ import pytest
 
 import zoar._kernels as kernels
 from zoar import estimators, objectives, sampling, verify
-from zoar.estimators import EstimatorConfig, HistoryBuffer, QueryRecord
+from zoar.estimators import EstimatorConfig, HistoryBuffer
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.sampling import DirectionSpec, DistTag
+from zoar.sampling import DistTag
 
 
 def test_batch_history_path_matches_production_estimator():
     """The vectorised sampler used by the statistical checks must compute
-    the exact same estimate as estimators.zoar_estimate on the same records."""
+    the same estimate as estimators.zoar_estimate on the same queries."""
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4)
     theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
@@ -21,17 +21,14 @@ def test_batch_history_path_matches_production_estimator():
 
     trial_root = sampling.fold(123, sampling.NS_TRIAL)
     for i in range(trials):
-        root = int(kernels.np_fold(np.uint64(trial_root), np.uint64(i)))
-        buf = HistoryBuffer(block_size=cfg.k, depth=theta_seq.shape[0])
+        root = kernels.np_fold(np.uint64(trial_root), np.uint64(i))
+        buf = HistoryBuffer(block_size=cfg.k, depth=theta_seq.shape[0],
+                            tag=cfg.tag, dim=4)
         for b, theta in enumerate(theta_seq):
-            block_root = int(kernels.np_fold(np.uint64(root), np.uint64(b)))
-            records = []
-            for k in range(cfg.k):
-                seed = int(kernels.np_fold(np.uint64(block_root), np.uint64(k)))
-                d = DirectionSpec(seed=seed, tag=cfg.tag, dim=4)
-                y = objectives.clean_value(spec, theta + cfg.mu * sampling.materialize(d))
-                records.append(QueryRecord(dir=d, value=float(y), iteration=b + 1))
-            buf.push_block(records)
+            block_root = kernels.np_fold(root, np.uint64(b))
+            seeds = kernels.np_fold(block_root, np.arange(cfg.k, dtype=np.uint64))
+            dirs = kernels.materialize_block(seeds, int(cfg.tag), 4)
+            buf.push_block(seeds, objectives.clean_value(spec, theta + cfg.mu * dirs))
         prod = estimators.zoar_estimate(buf, cfg.mu)
         assert np.allclose(batch[i], prod, rtol=1e-12, atol=1e-14)
 
