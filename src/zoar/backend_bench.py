@@ -1,9 +1,8 @@
 """Micro-benchmark of the compiled kernel backend against the pure one.
 
 Run with ``python -m zoar.backend_bench``.  The two backends are
-bit-identical by contract, so this only measures speed on the hot
-surfaces: direction materialisation and the seeded weighted reduction
-that dominates the history-reuse inner loop.
+bit-identical by contract, so this only measures speed on the kernel
+surfaces: direction materialisation and the seeded weighted reduction.
 """
 
 import time

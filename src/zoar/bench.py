@@ -9,7 +9,6 @@ records without a centre query.
 import enum
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,25 +80,23 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def run_experiment(cfg: RunConfig, threads: int = 1) -> list[Trace]:
-    """One trace per repeat, with per-repeat derived seeds.
+def run_experiment(cfg: RunConfig) -> list[Trace]:
+    """One trace per repeat, run one after another with per-repeat
+    derived seeds.
 
     The repeat's initial point and query streams depend only on
     (master_seed, repeat index), so different estimators compared under
     the same master seed see matched initial points and directions.
     """
-    def one(r: int) -> Trace:
+    traces = []
+    for r in range(cfg.repeats):
         run_seed = sampling.repeat_seed(cfg.master_seed, r)
         theta0 = cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(run_seed))
         trace = run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
                                  cfg.optimizer, cfg.iterations, run_seed, theta0)
         trace.fingerprint = cfg.fingerprint()
-        return trace
-
-    if threads > 1 and cfg.repeats > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(cfg.repeats)))
-    return [one(r) for r in range(cfg.repeats)]
+        traces.append(trace)
+    return traces
 
 
 @dataclass(frozen=True)

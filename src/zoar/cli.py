@@ -170,12 +170,12 @@ def _seed_override() -> int | None:
         raise ConfigError(f"ZOAR_SEED must be an integer, got {raw!r}") from None
 
 
-def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
+def _execute_run(cfg: bench.RunConfig, out_dir: Path,
                  reference_path: str | None) -> tuple[int, list, bench.Aggregate | None]:
     """Run, write the outputs, and return (exit code, traces, aggregate);
     the aggregate is None when every repeat diverged."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = bench.run_experiment(cfg, threads=threads)
+    traces = bench.run_experiment(cfg)
     for i, trace in enumerate(traces):
         bench.write_trace_csv(trace, out_dir / f"trace_r{i}.csv")
     try:
@@ -194,7 +194,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path, threads: int,
         "iterations": cfg.iterations,
         "repeats": cfg.repeats,
         "diverged": agg.excluded,
-        "queries_total": traces[0].rows[-1].queries_cum if traces[0].completed else None,
+        "queries_total": next(t for t in traces if t.completed).rows[-1].queries_cum,
     }
     if reference_path is not None:
         try:
@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _execute_run(cfg, Path(args.out), args.threads, args.reference)[0]
+    return _execute_run(cfg, Path(args.out), args.reference)[0]
 
 
 def cmd_verify(args) -> int:
@@ -284,7 +284,7 @@ def cmd_sweep(args) -> int:
 
     results = {}
     for name, cfg in cells:
-        _, traces, agg = _execute_run(cfg, out_dir / name, args.threads, None)
+        _, traces, agg = _execute_run(cfg, out_dir / name, None)
         results[name] = (agg, traces)
 
     ref_agg, ref_traces = results[reference]
@@ -324,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zoar",
         description="zeroth-order optimization benchmarks and verification")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker thread cap (default: hardware parallelism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment from a config file")

@@ -17,9 +17,11 @@ identity) and coordinate directions follow the plain averaged form.
 
 Every estimator draws an iteration's k queries through
 :func:`query_block`.  The history-reuse estimator keeps the n*k most
-recent queries in a :class:`HistoryBuffer` of two flat arrays, direction
-seeds and observed values; directions are re-materialised from the
-seeds when the estimate is formed, so the history costs O(n*k) scalars.
+recent queries in a :class:`HistoryBuffer` of two arrays, the
+materialised directions and their observed values, so forming the
+estimate materialises nothing: each direction is built once, when it is
+queried.  Every estimate reduces its directions through one j-ordered
+sum, the operation sequence of ``_kernels.weighted_direction_sum``.
 """
 
 import math
@@ -61,13 +63,13 @@ class EstimatorConfig:
 
 
 class HistoryBuffer:
-    """Ring of the n*k most recent queries as flat arrays, oldest first.
+    """Ring of the n*k most recent queries as two arrays, oldest first.
 
-    ``seeds`` (uint64) and ``values`` (float64) hold one entry per query,
-    all drawn from one direction law ``tag`` in dimension ``dim``; both
-    are views that the next ``push_block`` overwrites.
-    ``push_block`` appends exactly one iteration's block of k queries and
-    drops the oldest block once the ring holds n*k entries.
+    ``dirs`` (n*k, dim) and ``values`` (n*k,) hold one row per query, all
+    drawn from one direction law ``tag``; both are views that the next
+    ``push_block`` overwrites.  ``push_block`` appends exactly one
+    iteration's block of k queries and drops the oldest block once the
+    ring holds n*k rows.
     """
 
     def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int):
@@ -77,7 +79,7 @@ class HistoryBuffer:
         self.depth = depth
         self.tag = DistTag(tag)
         self.dim = dim
-        self._seeds = np.zeros(block_size * depth, dtype=np.uint64)
+        self._dirs = np.zeros((block_size * depth, dim))
         self._values = np.zeros(block_size * depth)
         self._filled = 0
 
@@ -85,25 +87,25 @@ class HistoryBuffer:
         return self._filled
 
     @property
-    def seeds(self) -> np.ndarray:
-        return self._seeds[self._seeds.size - self._filled:]
+    def dirs(self) -> np.ndarray:
+        return self._dirs[self._values.size - self._filled:]
 
     @property
     def values(self) -> np.ndarray:
         return self._values[self._values.size - self._filled:]
 
-    def push_block(self, seeds, values) -> None:
+    def push_block(self, dirs, values) -> None:
         k = self.block_size
-        if len(seeds) != k or len(values) != k:
-            raise ValueError(f"expected a block of {k} queries, got "
-                             f"{len(seeds)} seeds and {len(values)} values")
+        if np.shape(dirs) != (k, self.dim) or len(values) != k:
+            raise ValueError(f"expected {k} directions of dimension {self.dim} and "
+                             f"{k} values, got {np.shape(dirs)} and {len(values)}")
         if not np.all(np.isfinite(values)):
             raise ValueError("query values must be finite")
-        self._seeds[:-k] = self._seeds[k:]
-        self._seeds[-k:] = seeds
+        self._dirs[:-k] = self._dirs[k:]
+        self._dirs[-k:] = dirs
         self._values[:-k] = self._values[k:]
         self._values[-k:] = values
-        self._filled = min(self._filled + k, self._seeds.size)
+        self._filled = min(self._filled + k, self._values.size)
 
 
 def direction_scale(tag: DistTag, dim: int) -> float:
@@ -112,18 +114,26 @@ def direction_scale(tag: DistTag, dim: int) -> float:
 
 
 def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, iteration: int,
-                master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one iteration's k perturbed points theta + mu*u_j.
 
-    Returns (seeds, dirs, values): the direction seeds, the (k, d)
-    directions they materialise to, and the k observed values, all
-    sharing the iteration's noise seed.
+    Returns (dirs, values): the (k, d) directions of the iteration's
+    seeds and the k observed values, all sharing the iteration's noise
+    seed.
     """
     seeds = sampling.direction_seeds(master_seed, iteration, cfg.k)
     dirs = kernels.materialize_block(seeds, int(cfg.tag), theta.shape[0])
     nseed = sampling.noise_seed(master_seed, iteration)
     values = np.atleast_1d(obj.eval(theta[None, :] + cfg.mu * dirs, nseed))
-    return seeds, dirs, values
+    return dirs, values
+
+
+def _weighted_sum(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * dirs[j], accumulated in j order."""
+    grad = np.zeros(dirs.shape[1])
+    for j in range(dirs.shape[0]):
+        grad += coeffs[j] * dirs[j]
+    return grad
 
 
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
@@ -135,16 +145,13 @@ def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
     importance-weighted form enters.
     """
     theta = sampling.as_params(theta)
-    d = theta.shape[0]
-    _, dirs, yk = query_block(obj, theta, cfg, iteration, master_seed)
+    dirs, yk = query_block(obj, theta, cfg, iteration, master_seed)
     y0 = obj.eval(theta, sampling.noise_seed(master_seed, iteration))
     coeffs = (yk - y0) / cfg.mu
     if gamma is not None:
         coeffs = gamma * coeffs
-    grad = np.zeros(d)
-    for j in range(cfg.k):
-        grad += coeffs[j] * dirs[j]
-    grad *= direction_scale(cfg.tag, d) / cfg.k
+    grad = _weighted_sum(coeffs, dirs)
+    grad *= direction_scale(cfg.tag, theta.shape[0]) / cfg.k
     return grad, cfg.k + 1
 
 
@@ -234,9 +241,8 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     """History-reuse gradient estimate from all buffered queries.
 
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
-    averaged baseline, the mean of every stored value; directions are
-    re-materialised from their seeds and summed in ring order.  Consumes
-    no new queries.
+    averaged baseline, the mean of every stored value; the stored
+    directions are summed in ring order.  Consumes no new queries.
     """
     m = len(buffer)
     if m < 2:
@@ -245,8 +251,7 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     values = buffer.values
     baseline = values.mean()
     coeffs = (values - baseline) / mu
-    grad = kernels.weighted_direction_sum(buffer.seeds, int(buffer.tag),
-                                          buffer.dim, coeffs)
+    grad = _weighted_sum(coeffs, buffer.dirs)
     grad *= direction_scale(buffer.tag, buffer.dim) / (m - 1)
     return grad
 

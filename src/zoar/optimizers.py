@@ -153,12 +153,8 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
     for t in range(1, iterations + 1):
         tic = time.perf_counter()
         if estimator_kind is EstimatorKind.ZOAR:
-            seeds, dirs, values = estimators.query_block(obj, theta, est_cfg, t,
-                                                         master_seed)
-            # free the block's (k, d) directions before the reduction
-            # re-materialises all n*k of them, or peak memory grows
-            del dirs
-            buffer.push_block(seeds, values)
+            buffer.push_block(*estimators.query_block(obj, theta, est_cfg, t,
+                                                      master_seed))
             queries = est_cfg.k
             if len(buffer) >= 2:
                 grad = estimators.zoar_estimate(buffer, est_cfg.mu)

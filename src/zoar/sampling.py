@@ -1,11 +1,10 @@
 """Seeded perturbation directions and seed derivation.
 
-Directions are never stored as vectors: a direction is a 64-bit seed
-plus a distribution tag and dimension, and is re-materialised on demand,
-bit-identically, on any machine (see :mod:`zoar._kernels` for the exact
-generator contract).  Seeds for the k-th direction of iteration t are
-derived from the master seed by the fixed chain
-``fold(fold(fold(master, NS_DIRECTION), t), k)``.
+A direction is defined by a 64-bit seed plus a distribution tag and
+dimension: it materialises from them bit-identically on any machine (see
+:mod:`zoar._kernels` for the exact generator contract).  Seeds for the
+k-th direction of iteration t are derived from the master seed by the
+fixed chain ``fold(fold(fold(master, NS_DIRECTION), t), k)``.
 """
 
 import enum

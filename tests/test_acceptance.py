@@ -176,7 +176,7 @@ def _criterion9_aggregate(kind, est_kind, n):
             optimizer=OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001),
             iterations=2000, repeats=5, master_seed=0,
             theta0=bench.Theta0Spec(bench.Theta0Mode.UNIFORM, lo=-0.5, hi=0.5))
-        _C9[key] = bench.aggregate(bench.run_experiment(cfg, threads=5))
+        _C9[key] = bench.aggregate(bench.run_experiment(cfg))
     return _C9[key]
 
 

@@ -33,13 +33,6 @@ def test_run_experiment_repeats_and_determinism():
         assert _strip(a) == _strip(b)
 
 
-def test_threaded_run_matches_serial():
-    serial = bench.run_experiment(_cfg(repeats=4))
-    threaded = bench.run_experiment(_cfg(repeats=4), threads=4)
-    for a, b in zip(serial, threaded):
-        assert _strip(a) == _strip(b)
-
-
 def test_initial_row_is_starting_value():
     cfg = _cfg(iterations=0, repeats=1)
     trace = bench.run_experiment(cfg)[0]

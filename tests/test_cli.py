@@ -56,6 +56,15 @@ def test_missing_config_is_exit_2(tmp_path):
     assert run_cli("run", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)) == 2
 
 
+def test_threads_option_is_gone(tmp_path):
+    # repeats run serially; there is no thread count to set
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert run_cli("--threads", "2", "run", str(cfg), "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_all_diverged_is_exit_3(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("""
@@ -195,7 +204,7 @@ def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
     # 30 queries; the candidate cell (n=2) reaches it at iteration 1 after
     # 5 queries in its completed repeat, while its diverged repeat, whose
     # rows still reach iteration 1, spent 100 there and must not count
-    def fake_run_experiment(cfg, threads=1):
+    def fake_run_experiment(cfg):
         if cfg.estimator.n == 1:
             return [_trace([4.0, 3.0, 2.0, 1.0], [0, 10, 20, 30])] * 2
         return [_trace([4.0, 1.0, 1.0, 1.0], [0, 5, 10, 15]),
@@ -221,6 +230,22 @@ def test_sweep_keeps_results_in_memory(tmp_path, monkeypatch):
     out = tmp_path / "sweep"
     assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
     assert len((out / "speedup.csv").read_text().splitlines()) == 3
+
+
+def test_queries_total_comes_from_a_completed_repeat(tmp_path, monkeypatch):
+    # repeat 0 diverged after one step; repeat 1 completed 3 iterations
+    def fake_run_experiment(cfg):
+        return [_trace([4.0, 2.0], [0, 5], status="diverged"),
+                _trace([4.0, 3.0, 2.0, 1.0], [0, 5, 10, 15])]
+
+    monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert run_cli("run", str(cfg), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["status"], summary["diverged"]) == ("ok", 1)
+    assert summary["queries_total"] == 15
 
 
 def test_sweep_unknown_reference(tmp_path):

@@ -226,42 +226,57 @@ def _ring(k, n, dim=2):
     return HistoryBuffer(block_size=k, depth=n, tag=DistTag.COORDINATE, dim=dim)
 
 
+def _rows(labels, dim=2):
+    """One direction row per label, every entry equal to its label."""
+    return np.repeat(np.asarray(labels, dtype=np.float64)[:, None], dim, axis=1)
+
+
+def _coord_rows(dim, *indices):
+    """The basis directions e_i, materialised from seeds that select them."""
+    seeds = np.array([coord_seed(dim, i) for i in indices], dtype=np.uint64)
+    return kernels.materialize_block(seeds, int(DistTag.COORDINATE), dim)
+
+
 def test_push_block_ring_semantics():
     buf = _ring(3, 2)
-    buf.push_block([0, 1, 2], [0.0, 1.0, 2.0])
+    buf.push_block(_rows([0, 1, 2]), [0.0, 1.0, 2.0])
     assert len(buf) == 3
-    buf.push_block([3, 4, 5], [3.0, 4.0, 5.0])
+    assert buf.dirs.shape == (3, 2)
+    buf.push_block(_rows([3, 4, 5]), [3.0, 4.0, 5.0])
     assert len(buf) == 6
-    buf.push_block([6, 7, 8], [6.0, 7.0, 8.0])
+    buf.push_block(_rows([6, 7, 8]), [6.0, 7.0, 8.0])
     assert len(buf) == 6
     assert buf.values.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    assert buf.seeds.tolist() == [3, 4, 5, 6, 7, 8]
-    assert buf.seeds.dtype == np.uint64
+    assert np.array_equal(buf.dirs, _rows([3, 4, 5, 6, 7, 8]))
+    assert buf.dirs.dtype == np.float64
 
 
 def test_push_block_size_checked():
     buf = _ring(2, 2)
     with pytest.raises(ValueError):
-        buf.push_block([1], [1.0])
+        buf.push_block(_rows([1]), [1.0])
     with pytest.raises(ValueError):
-        buf.push_block([1, 2], [1.0])
+        buf.push_block(_rows([1, 2]), [1.0])
+    with pytest.raises(ValueError):
+        buf.push_block(_rows([1, 2], dim=3), [1.0, 2.0])
+    assert len(buf) == 0
 
 
 def test_depth_one_keeps_latest_block():
     buf = _ring(2, 1)
     for t in range(1, 5):
-        buf.push_block([t, t], [float(t), float(t)])
-        assert buf.seeds.tolist() == [t, t]
+        buf.push_block(_rows([t, t]), [float(t), float(t)])
+        assert np.array_equal(buf.dirs, _rows([t, t]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 5), n=st.integers(1, 5), total=st.integers(1, 20))
 def test_buffer_holds_most_recent_iterations(k, n, total):
-    # each block's seeds carry the iteration that pushed it
+    # each block's directions carry the iteration that pushed it
     buf = _ring(k, n)
     for t in range(1, total + 1):
-        buf.push_block([t] * k, [0.0] * k)
-    kept = sorted(set(buf.seeds.tolist()))
+        buf.push_block(_rows([t] * k), [0.0] * k)
+    kept = sorted(set(buf.dirs[:, 0].tolist()))
     assert kept == list(range(max(1, total - n + 1), total + 1))
     assert len(buf) == k * min(n, total)
 
@@ -269,15 +284,14 @@ def test_buffer_holds_most_recent_iterations(k, n, total):
 def test_zoar_baseline_is_mean_of_ring():
     # one coordinate direction per query: component i of the estimate is
     # the sum of (y - b)/mu over the queries along e_i, so it exposes b
-    e0, e1 = coord_seed(2, 0), coord_seed(2, 1)
     buf = _ring(2, 2)
-    buf.push_block([e0, e1], [1.0, 3.0])
+    buf.push_block(_coord_rows(2, 0, 1), [1.0, 3.0])
     assert np.array_equal(zoar_estimate(buf, mu=1.0), [1.0 - 2.0, 3.0 - 2.0])
-    buf.push_block([e0, e0], [0.0, 2.0])
+    buf.push_block(_coord_rows(2, 0, 0), [0.0, 2.0])
     # b = 1.5 over all four values, oldest block included
     assert np.allclose(zoar_estimate(buf, mu=1.0), [-0.5, 0.5], rtol=1e-15, atol=0)
     const = _ring(2, 1)
-    const.push_block([e0, e1], [4.25, 4.25])
+    const.push_block(_coord_rows(2, 0, 1), [4.25, 4.25])
     assert np.array_equal(zoar_estimate(const, mu=1.0), np.zeros(2))
 
 
@@ -285,7 +299,7 @@ def test_push_block_rejects_non_finite():
     buf = _ring(2, 2)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            buf.push_block([1, 2], [1.0, bad])
+            buf.push_block(_rows([1, 2]), [1.0, bad])
     assert len(buf) == 0
 
 
@@ -295,24 +309,43 @@ def test_push_block_rejects_non_finite():
 def test_zoar_hand_example():
     # two queries: (e1, y=1), (e2, y=3), mu = 0.5 -> baseline 2, g = (-2, 2)
     buf = HistoryBuffer(block_size=1, depth=2, tag=DistTag.COORDINATE, dim=2)
-    buf.push_block([coord_seed(2, 0)], [1.0])
-    buf.push_block([coord_seed(2, 1)], [3.0])
+    buf.push_block(_coord_rows(2, 0), [1.0])
+    buf.push_block(_coord_rows(2, 1), [3.0])
     grad = zoar_estimate(buf, mu=0.5)
     assert np.array_equal(grad, np.array([-2.0, 2.0]))
 
 
 def test_zoar_equal_values_gives_zero():
     buf = _ring(2, 2, dim=3)
-    buf.push_block([coord_seed(3, 0), coord_seed(3, 1)], [5.0, 5.0])
-    buf.push_block([coord_seed(3, 2), coord_seed(3, 1)], [5.0, 5.0])
+    buf.push_block(_coord_rows(3, 0, 1), [5.0, 5.0])
+    buf.push_block(_coord_rows(3, 2, 1), [5.0, 5.0])
     assert np.array_equal(zoar_estimate(buf, mu=0.1), np.zeros(3))
 
 
 def test_zoar_requires_two_records():
     buf = _ring(1, 4)
-    buf.push_block([0], [1.0])
+    buf.push_block(_rows([0]), [1.0])
     with pytest.raises(InsufficientHistoryError):
         zoar_estimate(buf, mu=0.1)
+
+
+@pytest.mark.parametrize("tag", list(DistTag))
+def test_zoar_reduction_matches_seeded_weighted_sum_bitwise(tag):
+    # the ring's directions, reduced in ring order, give the bits the
+    # kernel's seeded reduction gives on the same seeds
+    k, n, dim, mu = 3, 4, 7, 0.05
+    buf = HistoryBuffer(block_size=k, depth=n, tag=tag, dim=dim)
+    seeds = kernels.np_fold(np.uint64(21), np.arange(k * (n + 2), dtype=np.uint64))
+    values = kernels.uniform_doubles(5, seeds.size) - 0.5
+    for b in range(n + 2):
+        block = seeds[b * k:(b + 1) * k]
+        buf.push_block(kernels.materialize_block(block, int(tag), dim),
+                       values[b * k:(b + 1) * k])
+    kept = values[-k * n:]
+    coeffs = (kept - kept.mean()) / mu
+    ref = kernels.weighted_direction_sum(seeds[-k * n:], int(tag), dim, coeffs)
+    ref *= (dim if tag is DistTag.SPHERE else 1.0) / (k * n - 1)
+    assert np.array_equal(zoar_estimate(buf, mu), ref)
 
 
 def test_zoar_monte_carlo_mean_is_smoothed_gradient():

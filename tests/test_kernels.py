@@ -1,8 +1,9 @@
 """Backend parity and generator-quality tests.
 
-The compiled and pure kernels promise bit-identical output; these tests
-hold them to it, and check the inverse normal CDF against scipy's as an
-independent oracle.
+The compiled and pure kernels promise bit-identical output; the parity
+tests hold them to it and skip when the extension is not built.  The
+rest check the pure backend alone, among them the inverse normal CDF
+against scipy's as an independent oracle.
 """
 
 import math
@@ -13,7 +14,12 @@ import scipy.special
 
 from zoar._kernels import bits, pure
 
-_ckern = pytest.importorskip("zoar._kernels._ckern")
+
+@pytest.fixture(scope="module")
+def ckern():
+    """The compiled backend; tests that compare against it skip without it."""
+    return pytest.importorskip("zoar._kernels._ckern")
+
 
 TAGS = [pure.GAUSSIAN, pure.SPHERE, pure.COORDINATE]
 SEEDS = [0, 1, 7, 12345, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
@@ -21,40 +27,40 @@ DIMS = [1, 2, 3, 17, 64, 100, 1023]
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_materialize_parity(tag):
+def test_materialize_parity(tag, ckern):
     for seed in SEEDS:
         for dim in DIMS:
             a = pure.materialize(seed, tag, dim)
-            b = _ckern.materialize(seed, tag, dim)
+            b = ckern.materialize(seed, tag, dim)
             assert np.array_equal(a, b), (seed, tag, dim)
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_block_and_weighted_sum_parity(tag):
+def test_block_and_weighted_sum_parity(tag, ckern):
     seeds = bits.stream_words(99, 400)
     coeffs = np.linspace(-3.0, 3.0, 400)
     assert np.array_equal(pure.materialize_block(seeds, tag, 37),
-                          _ckern.materialize_block(seeds, tag, 37))
+                          ckern.materialize_block(seeds, tag, 37))
     assert np.array_equal(pure.weighted_direction_sum(seeds, tag, 37, coeffs),
-                          _ckern.weighted_direction_sum(seeds, tag, 37, coeffs))
+                          ckern.weighted_direction_sum(seeds, tag, 37, coeffs))
 
 
-def test_scalar_stream_parity():
+def test_scalar_stream_parity(ckern):
     for seed in SEEDS:
         assert np.array_equal(pure.standard_normals(seed, 10000),
-                              _ckern.standard_normals(seed, 10000))
+                              ckern.standard_normals(seed, 10000))
         assert np.array_equal(pure.uniform_doubles(seed, 10000),
-                              _ckern.uniform_doubles(seed, 10000))
+                              ckern.uniform_doubles(seed, 10000))
 
 
-def test_icdf_parity_dense():
+def test_icdf_parity_dense(ckern):
     p = np.concatenate([
         np.linspace(1e-12, 1 - 1e-12, 200001),
         10.0 ** np.linspace(-300, -1, 5000),
         1.0 - 10.0 ** np.linspace(-16, -1, 5000),
     ])
-    assert np.array_equal(pure.normal_icdf(p), _ckern.normal_icdf(p))
-    assert np.array_equal(pure.log_unit(p[p < 1.0]), _ckern.log_unit(p[p < 1.0]))
+    assert np.array_equal(pure.normal_icdf(p), ckern.normal_icdf(p))
+    assert np.array_equal(pure.log_unit(p[p < 1.0]), ckern.log_unit(p[p < 1.0]))
 
 
 def test_icdf_against_scipy():
@@ -115,7 +121,7 @@ def test_backend_bench_runs():
         assert t_comp is None or t_comp > 0.0
 
 
-def test_experiment_outputs_identical_across_backends(tmp_path):
+def test_experiment_outputs_identical_across_backends(tmp_path, ckern):
     """End-to-end: a run under the pure fallback must write byte-identical
     results (wall_ms aside) to one under the compiled kernels."""
     import os

@@ -145,6 +145,28 @@ def test_zoar_rejects_unusable_history_config():
         _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=2, k=1, n=1)
 
 
+def test_zoar_run_materialises_each_direction_once(monkeypatch):
+    # the ring keeps the directions it was pushed, so a run of T
+    # iterations builds T*k rows and never regenerates one from its seed
+    rows = []
+    materialize_block = kernels.materialize_block
+
+    def counting(seeds, tag, dim):
+        block = materialize_block(seeds, tag, dim)
+        rows.append(block.shape[0])
+        return block
+
+    def forbidden(*args):
+        raise AssertionError("directions were re-materialised from seeds")
+
+    monkeypatch.setattr(kernels, "materialize_block", counting)
+    monkeypatch.setattr(kernels, "weighted_direction_sum", forbidden)
+    T, k = 30, 4
+    trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=T, k=k, n=3)
+    assert trace.completed and len(trace.rows) == T + 1
+    assert sum(rows) == T * k
+
+
 def test_divergence_is_recorded_not_raised():
     spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4)
     est = EstimatorConfig(mu=0.05, k=4, tag=DistTag.GAUSSIAN)

@@ -28,7 +28,7 @@ def test_batch_history_path_matches_production_estimator():
             block_root = kernels.np_fold(root, np.uint64(b))
             seeds = kernels.np_fold(block_root, np.arange(cfg.k, dtype=np.uint64))
             dirs = kernels.materialize_block(seeds, int(cfg.tag), 4)
-            buf.push_block(seeds, objectives.clean_value(spec, theta + cfg.mu * dirs))
+            buf.push_block(dirs, objectives.clean_value(spec, theta + cfg.mu * dirs))
         prod = estimators.zoar_estimate(buf, cfg.mu)
         assert np.allclose(batch[i], prod, rtol=1e-12, atol=1e-14)
 
