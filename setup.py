@@ -1,28 +1,15 @@
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
+# -ffp-contract=off: the kernel promises bit-identical floats against the
+# pure backend, so the compiler must not fuse a*b+c into an FMA.
+# optional=True: without a C compiler the package installs with the pure
+# backend alone.
+EXTENSION = Extension(
+    "zoar._kernels._ckern",
+    ["src/zoar/_kernels/_ckern.c"],
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+    optional=True,
+)
 
-if cythonize is not None:
-    # -ffp-contract=off: the kernels promise bit-identical floats against the
-    # pure-python backend, so the compiler must not fuse a*b+c into an FMA.
-    extensions = cythonize(
-        [
-            Extension(
-                "zoar._kernels._ckern",
-                ["src/zoar/_kernels/_ckern.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-else:
-    extensions = []
-
-setup(ext_modules=extensions)
+if __name__ == "__main__":
+    setup(ext_modules=[EXTENSION])

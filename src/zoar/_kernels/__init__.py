@@ -1,35 +1,36 @@
-"""Kernel backend selection.
+"""Kernel surfaces.
 
-The compiled Cython extension is preferred when importable; otherwise
-the pure NumPy implementation is used.  Both implement the identical
-bit-level contract, so the choice affects speed only.  Set
-``ZOAR_FORCE_PURE_KERNELS=1`` to skip the extension (used by the
-backend benchmark and the parity tests).
+Every surface comes from :mod:`.pure`, the written spec of the bit
+contract, except ``materialize_block``: when the C extension ``_ckern``
+(built from ``_ckern.c``) imports, directions are filled by it, with the
+same bits as the pure implementation, so the choice affects speed only.
+``BACKEND`` names the one in use, ``"compiled"`` or ``"pure"``.
 """
 
-import os
+import numpy as np
 
 from . import pure
 from .bits import GOLDEN, MASK64, fold, mix64, np_fold, np_mix64, stream_words
+from .pure import (COORDINATE, GAUSSIAN, SPHERE, materialize, standard_normals,
+                   uniform_doubles, weighted_direction_sum)
 
-GAUSSIAN = pure.GAUSSIAN
-SPHERE = pure.SPHERE
-COORDINATE = pure.COORDINATE
+try:
+    from . import _ckern
+except ImportError:
+    _ckern = None
 
-if os.environ.get("ZOAR_FORCE_PURE_KERNELS") == "1":
-    _impl = pure
+
+def compiled_materialize_block(seeds, tag: int, dim: int) -> np.ndarray:
+    """``pure.materialize_block`` through the C kernel; identical bits."""
+    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
+    out = np.empty(seeds.shape + (dim,))
+    _ckern.fill_directions(seeds, tag, out)
+    return out
+
+
+if _ckern is None:
+    BACKEND = "pure"
+    materialize_block = pure.materialize_block
 else:
-    try:
-        from . import _ckern as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = pure
-
-BACKEND = _impl.BACKEND_NAME
-
-standard_normals = _impl.standard_normals
-uniform_doubles = _impl.uniform_doubles
-materialize = _impl.materialize
-materialize_block = _impl.materialize_block
-weighted_direction_sum = _impl.weighted_direction_sum
-normal_icdf = _impl.normal_icdf
-log_unit = _impl.log_unit
+    BACKEND = "compiled"
+    materialize_block = compiled_materialize_block

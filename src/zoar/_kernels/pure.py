@@ -1,8 +1,7 @@
-"""Pure NumPy kernel backend.
+"""Pure NumPy kernels: the written spec of the bit contract.
 
-Implements the direction-generation contract with bit-pinned floating
-point so that results are identical to the compiled backend (and stable
-across machines):
+Directions are generated with bit-pinned floating point, so results are
+stable across machines:
 
 * raw words      ``mix64(seed + (j+1)*GOLDEN)`` (see :mod:`.bits`)
 * open (0,1)     ``((word >> 12)*2 + 1) * 2**-53``  (odd numerator, never 0 or 1/2)
@@ -16,15 +15,14 @@ across machines):
   the *sequential* sum of squared entries (cumsum order)
 * coordinate direction: ``e[word_0 mod dim]``
 
-Only these kernel surfaces promise cross-backend bit identity; code
-built on top of them is shared between backends by construction.
+``materialize_block`` has a compiled twin in ``_ckern.c`` that performs
+the same operations in the same order and must return the same bits;
+every other surface exists only here.
 """
 
 import numpy as np
 
 from .bits import GOLDEN, np_mix64, stream_words
-
-BACKEND_NAME = "pure"
 
 _TWO_NEG53 = 1.0 / 9007199254740992.0
 _SQRT_HALF = 0.70710678118654752440

@@ -14,6 +14,7 @@ overrides the configured master seed for ``run`` and ``sweep``.
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -116,9 +117,12 @@ def build_run_config(values: dict, seed_override: int | None = None) -> bench.Ru
         conv = _SCHEMA[section][key]
         raw = merged[(section, key)]
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
+        if conv is float and not math.isfinite(value):
+            raise ConfigError(f"bad value for {section}.{key}: {raw!r} (must be finite)")
+        return value
 
     try:
         objective = ObjectiveSpec(ObjectiveKind.parse(get("objective", "kind")),
@@ -171,9 +175,10 @@ def _seed_override() -> int | None:
 
 
 def _execute_run(cfg: bench.RunConfig, out_dir: Path,
-                 reference_path: str | None) -> tuple[int, list, bench.Aggregate | None]:
+                 ref: bench.Aggregate | None) -> tuple[int, list, bench.Aggregate | None]:
     """Run, write the outputs, and return (exit code, traces, aggregate);
-    the aggregate is None when every repeat diverged."""
+    the aggregate is None when every repeat diverged.  ``ref`` is the
+    reference aggregate the summary's speedup is measured against."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = bench.run_experiment(cfg)
     for i, trace in enumerate(traces):
@@ -196,13 +201,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path,
         "diverged": agg.excluded,
         "queries_total": next(t for t in traces if t.completed).rows[-1].queries_cum,
     }
-    if reference_path is not None:
-        try:
-            ref = bench.read_aggregate_csv(reference_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: reference aggregate {reference_path}: {exc}",
-                  file=sys.stderr)
-            return 2, traces, agg
+    if ref is not None:
         target = ref.final_mean_gap()
         summary["reference_final_mean_gap"] = target
         summary["speedup_vs_reference"] = speed = bench.speedup(ref, agg, target)
@@ -224,7 +223,14 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _execute_run(cfg, Path(args.out), args.reference)[0]
+    ref = None
+    if args.reference is not None:
+        try:
+            ref = bench.read_aggregate_csv(args.reference)
+        except (OSError, ValueError) as exc:
+            print(f"error: reference aggregate {args.reference}: {exc}", file=sys.stderr)
+            return 2
+    return _execute_run(cfg, Path(args.out), ref)[0]
 
 
 def cmd_verify(args) -> int:
@@ -363,6 +369,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # inputs are read with their own messages; this is an output that
+        # cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

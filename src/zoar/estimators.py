@@ -101,7 +101,10 @@ class HistoryBuffer:
                              f"{k} values, got {np.shape(dirs)} and {len(values)}")
         if not np.all(np.isfinite(values)):
             raise ValueError("query values must be finite")
-        self._dirs[:-k] = self._dirs[k:]
+        # block by block: one overlapping assignment would make NumPy copy
+        # the whole ring into a temporary first
+        for lo in range(0, self._values.size - k, k):
+            self._dirs[lo:lo + k] = self._dirs[lo + k:lo + 2 * k]
         self._dirs[-k:] = dirs
         self._values[:-k] = self._values[k:]
         self._values[-k:] = values

@@ -1,6 +1,8 @@
 import json
 
-from zoar import bench, cli
+import pytest
+
+from zoar import bench, cli, verify
 from zoar.optimizers import Trace, TraceRow
 
 MINIMAL = """
@@ -89,6 +91,55 @@ repeats = 2
     assert summary["status"] == "all_diverged"
 
 
+@pytest.mark.parametrize("section,key", [
+    ("objective", "noise_sigma"), ("estimator", "mu"), ("optimizer", "eta"),
+    ("optimizer", "beta1"), ("optimizer", "beta2"), ("optimizer", "zeta"),
+    ("run", "theta0_value"), ("run", "theta0_lo"), ("run", "theta0_hi"),
+])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, section, key, raw):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("the experiment ran before the reference was checked")
+
+    monkeypatch.setattr(bench, "run_experiment", no_run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("iter,mean_gap,std_gap,n\n0,xx,0,1\n")
+    for ref in (bad, tmp_path / "absent.csv"):
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out), "--reference", str(ref)) == 2
+        assert str(ref) in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "plot"])
+def test_unwritable_output_is_exit_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(verify, "run_suite", lambda suite, seed: [
+        verify.CheckReport("fine", True, 0.0, 1.0, 1, "")])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    agg = tmp_path / "agg.csv"
+    agg.write_text("iter,mean_gap,std_gap,n\n0,1.0,0.0,1\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    argv = {"run": ["run", str(cfg), "--out", str(blocker / "out")],
+            "sweep": ["sweep", str(cfg), "--out", str(blocker / "out")],
+            "verify": ["verify", "exact", "--out", str(blocker / "r.json")],
+            "plot": ["plot", str(agg), "--out", str(blocker / "p.svg")]}[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
 def test_list_value_rejected_by_run(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[estimator]\nn = [1, 6]\n")
@@ -142,8 +193,6 @@ def test_verify_invalid_suite_usage_error():
 
 
 def test_verify_failure_is_exit_4(monkeypatch):
-    from zoar import verify
-
     def fake_suite(suite, seed):
         return [verify.CheckReport("doomed", False, 9.0, 1.0, 3, "")]
 

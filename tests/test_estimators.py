@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -301,6 +302,23 @@ def test_push_block_rejects_non_finite():
         with pytest.raises(ValueError):
             buf.push_block(_rows([1, 2]), [1.0, bad])
     assert len(buf) == 0
+
+
+def test_push_block_shift_allocates_less_than_a_block():
+    # an overlapping shift of the whole ring would copy it into a
+    # temporary of (n-1)*k*d floats first
+    k, n, dim = 10, 6, 10_000
+    buf = _ring(k, n, dim=dim)
+    block = np.ones((k, dim))
+    for _ in range(n):
+        buf.push_block(block, np.zeros(k))
+    tracemalloc.start()
+    try:
+        buf.push_block(block, np.zeros(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * dim * 8
 
 
 # ---------------------------------------------------------------------------

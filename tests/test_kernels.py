@@ -1,24 +1,58 @@
-"""Backend parity and generator-quality tests.
+"""Kernel parity and generator-quality tests.
 
-The compiled and pure kernels promise bit-identical output; the parity
-tests hold them to it and skip when the extension is not built.  The
-rest check the pure backend alone, among them the inverse normal CDF
-against scipy's as an independent oracle.
+``materialize_block`` has a compiled twin: ``_ckern.c``, built here with
+``setup.py``'s own extension into a temporary directory, must give the
+pure backend's bits, and so must its inverse normal CDF.  These tests
+skip only where no C compiler is found.  The rest check the pure backend
+alone, among them the inverse normal CDF against scipy's as an
+independent oracle.
 """
 
+import importlib.util
 import math
+import runpy
+import shutil
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from setuptools import Distribution
+from setuptools.command.build_ext import build_ext
 
+import zoar._kernels as kernels
+from zoar import cli
 from zoar._kernels import bits, pure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def ckern():
-    """The compiled backend; tests that compare against it skip without it."""
-    return pytest.importorskip("zoar._kernels._ckern")
+def ckern(tmp_path_factory):
+    """The C extension, built from the source tree into a temporary directory."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build _ckern.c")
+    ext = runpy.run_path(str(ROOT / "setup.py"))["EXTENSION"]
+    ext.sources = [str(ROOT / src) for src in ext.sources]
+    ext.optional = False
+    cmd = build_ext(Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = str(tmp_path_factory.mktemp("ckern"))
+    cmd.build_temp = str(Path(cmd.build_lib) / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(ext.name, cmd.get_ext_fullpath(ext.name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_block(ckern, monkeypatch):
+    """``materialize_block`` as the package serves it when the C kernel imports."""
+    monkeypatch.setattr(kernels, "_ckern", ckern)
+    return kernels.compiled_materialize_block
 
 
 TAGS = [pure.GAUSSIAN, pure.SPHERE, pure.COORDINATE]
@@ -27,30 +61,15 @@ DIMS = [1, 2, 3, 17, 64, 100, 1023]
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_materialize_parity(tag, ckern):
-    for seed in SEEDS:
-        for dim in DIMS:
-            a = pure.materialize(seed, tag, dim)
-            b = ckern.materialize(seed, tag, dim)
-            assert np.array_equal(a, b), (seed, tag, dim)
-
-
-@pytest.mark.parametrize("tag", TAGS)
-def test_block_and_weighted_sum_parity(tag, ckern):
+def test_materialize_block_parity(tag, compiled_block):
+    seeds = np.array(SEEDS, dtype=np.uint64)
+    for dim in DIMS:
+        a = pure.materialize_block(seeds, tag, dim)
+        b = compiled_block(seeds, tag, dim)
+        assert np.array_equal(a, b), (tag, dim)
     seeds = bits.stream_words(99, 400)
-    coeffs = np.linspace(-3.0, 3.0, 400)
     assert np.array_equal(pure.materialize_block(seeds, tag, 37),
-                          ckern.materialize_block(seeds, tag, 37))
-    assert np.array_equal(pure.weighted_direction_sum(seeds, tag, 37, coeffs),
-                          ckern.weighted_direction_sum(seeds, tag, 37, coeffs))
-
-
-def test_scalar_stream_parity(ckern):
-    for seed in SEEDS:
-        assert np.array_equal(pure.standard_normals(seed, 10000),
-                              ckern.standard_normals(seed, 10000))
-        assert np.array_equal(pure.uniform_doubles(seed, 10000),
-                              ckern.uniform_doubles(seed, 10000))
+                          compiled_block(seeds, tag, 37))
 
 
 def test_icdf_parity_dense(ckern):
@@ -59,8 +78,17 @@ def test_icdf_parity_dense(ckern):
         10.0 ** np.linspace(-300, -1, 5000),
         1.0 - 10.0 ** np.linspace(-16, -1, 5000),
     ])
-    assert np.array_equal(pure.normal_icdf(p), ckern.normal_icdf(p))
-    assert np.array_equal(pure.log_unit(p[p < 1.0]), ckern.log_unit(p[p < 1.0]))
+    out = np.empty_like(p)
+    ckern.normal_icdf_into(p, out)
+    assert np.array_equal(pure.normal_icdf(p), out)
+
+
+def test_compiled_block_rejects_bad_shapes(ckern, compiled_block):
+    assert compiled_block(np.zeros(0, dtype=np.uint64), pure.COORDINATE, 0).shape == (0, 0)
+    with pytest.raises(ValueError):
+        compiled_block([1], pure.COORDINATE, 0)
+    with pytest.raises(ValueError):
+        ckern.fill_directions(np.zeros(2, dtype=np.uint64), pure.GAUSSIAN, np.empty(5))
 
 
 def test_icdf_against_scipy():
@@ -111,23 +139,10 @@ def test_python_and_numpy_fold_agree():
             assert bits.mix64(a) == int(bits.np_mix64(np.uint64(a)))
 
 
-def test_backend_bench_runs():
-    from zoar import backend_bench
-
-    rows = backend_bench.run(reps=1)
-    assert len(rows) == 5
-    for name, t_pure, t_comp in rows:
-        assert t_pure > 0.0
-        assert t_comp is None or t_comp > 0.0
-
-
-def test_experiment_outputs_identical_across_backends(tmp_path, ckern):
-    """End-to-end: a run under the pure fallback must write byte-identical
-    results (wall_ms aside) to one under the compiled kernels."""
-    import os
-    import subprocess
-    import sys
-
+def test_experiment_outputs_identical_across_backends(tmp_path, monkeypatch,
+                                                   compiled_block):
+    """End-to-end: a run on the compiled kernel must write byte-identical
+    results (wall_ms aside) to one on the pure backend."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("""
 [objective]
@@ -147,12 +162,10 @@ repeats = 2
 master_seed = 17
 """)
     outs = {}
-    for backend, forced in (("compiled", "0"), ("pure", "1")):
-        env = dict(os.environ, ZOAR_FORCE_PURE_KERNELS=forced)
-        out = tmp_path / backend
-        subprocess.run([sys.executable, "-m", "zoar.cli", "run", str(cfg),
-                        "--out", str(out)], check=True, env=env)
-        outs[backend] = out
+    for backend, block in (("compiled", compiled_block), ("pure", pure.materialize_block)):
+        monkeypatch.setattr(kernels, "materialize_block", block)
+        outs[backend] = tmp_path / backend
+        assert cli.main(["run", str(cfg), "--out", str(outs[backend])]) == 0
     assert ((outs["compiled"] / "aggregate.csv").read_bytes()
             == (outs["pure"] / "aggregate.csv").read_bytes())
     for fname in ("trace_r0.csv", "trace_r1.csv"):
