@@ -23,6 +23,10 @@ from .optimizers import (EstimatorKind, OptimizerConfig, Trace, TraceRow,
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
 LOG_FLOOR = 1e-16  # gap values are clamped here before log-scale plotting
+# history-ring bytes one lockstep group of repeats may hold: a group of
+# rings grows peak memory by its size, and past this the per-step Python
+# overhead that lockstep saves is small beside the arithmetic
+LOCKSTEP_BUDGET = 1 << 20
 
 
 class Theta0Mode(enum.Enum):
@@ -81,21 +85,27 @@ class RunConfig:
 
 
 def run_experiment(cfg: RunConfig) -> list[Trace]:
-    """One trace per repeat, run one after another with per-repeat
-    derived seeds.
+    """One trace per repeat, with per-repeat derived seeds.
 
     The repeat's initial point and query streams depend only on
     (master_seed, repeat index), so different estimators compared under
     the same master seed see matched initial points and directions.
+    Repeats advance in lockstep groups of as many as fit their history
+    rings in ``LOCKSTEP_BUDGET`` bytes, and at least one; a repeat's
+    trace does not depend on the group it ran in.
     """
+    seeds = [sampling.repeat_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
+    ring_bytes = cfg.estimator.n * cfg.estimator.k * cfg.objective.dim * 8
+    group = max(1, LOCKSTEP_BUDGET // ring_bytes)
     traces = []
-    for r in range(cfg.repeats):
-        run_seed = sampling.repeat_seed(cfg.master_seed, r)
-        theta0 = cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(run_seed))
-        trace = run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
-                                 cfg.optimizer, cfg.iterations, run_seed, theta0)
+    for lo in range(0, cfg.repeats, group):
+        run_seeds = seeds[lo:lo + group]
+        theta0 = [cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(s))
+                  for s in run_seeds]
+        traces += run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
+                                   cfg.optimizer, cfg.iterations, run_seeds, theta0)
+    for trace in traces:
         trace.fingerprint = cfg.fingerprint()
-        traces.append(trace)
     return traces
 
 

@@ -136,6 +136,8 @@ def build_run_config(values: dict, seed_override: int | None = None) -> bench.Ru
                                     k=get("estimator", "k"),
                                     n=get("estimator", "n"),
                                     tag=DistTag.parse(get("estimator", "tag")))
+        if estimator_kind is EstimatorKind.ZOAR:
+            estimator.require_reusable()
         optimizer = OptimizerConfig(rule=UpdateRule.parse(get("optimizer", "rule")),
                                     eta=get("optimizer", "eta"),
                                     beta1=get("optimizer", "beta1"),

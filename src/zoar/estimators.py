@@ -22,6 +22,13 @@ materialised directions and their observed values, so forming the
 estimate materialises nothing: each direction is built once, when it is
 queried.  Every estimate reduces its directions through one j-ordered
 sum, the operation sequence of ``_kernels.weighted_direction_sum``.
+
+The array-level functions (:func:`query_block`, :func:`difference_estimate`,
+:func:`zoar_estimate`, :func:`zohs_estimate` and the ring) take any
+leading axes before the last one: the optimisation loop passes R runs at
+once as (R, d) parameters, and every row gets the bits it would get
+alone.  ``fd_estimate`` and the score-function forms are the one-run case,
+keyed on (iteration, master seed).
 """
 
 import math
@@ -61,6 +68,10 @@ class EstimatorConfig:
         if self.n * self.k < 2:
             raise ValueError("history reuse requires n*k >= 2")
 
+    def require_gaussian(self) -> None:
+        if self.tag is not DistTag.GAUSSIAN:
+            raise ValueError("the score-function estimator requires Gaussian directions")
+
 
 class HistoryBuffer:
     """Ring of the n*k most recent queries as two arrays, oldest first.
@@ -70,17 +81,25 @@ class HistoryBuffer:
     ``push_block`` overwrites.  ``push_block`` appends exactly one
     iteration's block of k queries and drops the oldest block once the
     ring holds n*k rows.
+
+    With ``rows=R`` the ring serves R runs in lockstep: ``dirs`` is
+    (R, n*k, dim), ``values`` (R, n*k), and every block carries one row
+    per run.  Directions are stored query-major, so the query-j slice of
+    all R runs is one contiguous (R, dim) array and the ring shifts block
+    by block over non-overlapping memory.
     """
 
-    def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int):
+    def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int,
+                 rows: int | None = None):
         if block_size < 1 or depth < 1:
             raise ValueError("block_size and depth must be >= 1")
         self.block_size = block_size
         self.depth = depth
         self.tag = DistTag(tag)
         self.dim = dim
-        self._dirs = np.zeros((block_size * depth, dim))
-        self._values = np.zeros(block_size * depth)
+        self._lead = () if rows is None else (rows,)
+        self._dirs = np.zeros((block_size * depth,) + self._lead + (dim,))
+        self._values = np.zeros(self._lead + (block_size * depth,))
         self._filled = 0
 
     def __len__(self) -> int:
@@ -88,27 +107,35 @@ class HistoryBuffer:
 
     @property
     def dirs(self) -> np.ndarray:
-        return self._dirs[self._values.size - self._filled:]
+        return np.moveaxis(self._dirs[self._dirs.shape[0] - self._filled:], 0, -2)
 
     @property
     def values(self) -> np.ndarray:
-        return self._values[self._values.size - self._filled:]
+        return self._values[..., self._values.shape[-1] - self._filled:]
 
     def push_block(self, dirs, values) -> None:
         k = self.block_size
-        if np.shape(dirs) != (k, self.dim) or len(values) != k:
+        if (np.shape(dirs) != self._lead + (k, self.dim)
+                or np.shape(values) != self._lead + (k,)):
             raise ValueError(f"expected {k} directions of dimension {self.dim} and "
-                             f"{k} values, got {np.shape(dirs)} and {len(values)}")
+                             f"{k} values per row, got {np.shape(dirs)} and "
+                             f"{np.shape(values)}")
         if not np.all(np.isfinite(values)):
             raise ValueError("query values must be finite")
         # block by block: one overlapping assignment would make NumPy copy
         # the whole ring into a temporary first
-        for lo in range(0, self._values.size - k, k):
+        for lo in range(0, self._dirs.shape[0] - k, k):
             self._dirs[lo:lo + k] = self._dirs[lo + k:lo + 2 * k]
-        self._dirs[-k:] = dirs
-        self._values[:-k] = self._values[k:]
-        self._values[-k:] = values
-        self._filled = min(self._filled + k, self._values.size)
+        self._dirs[-k:] = np.moveaxis(np.asarray(dirs), -2, 0)
+        self._values[..., :-k] = self._values[..., k:]
+        self._values[..., -k:] = values
+        self._filled = min(self._filled + k, self._dirs.shape[0])
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows of a lockstep ring whose ``mask`` entry is False."""
+        self._dirs = self._dirs[:, mask]
+        self._values = self._values[mask]
+        self._lead = (self._values.shape[0],)
 
 
 def direction_scale(tag: DistTag, dim: int) -> float:
@@ -116,45 +143,58 @@ def direction_scale(tag: DistTag, dim: int) -> float:
     return float(dim) if tag is DistTag.SPHERE else 1.0
 
 
-def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, iteration: int,
-                master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dir_seeds: np.ndarray,
+                noise_seeds) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one iteration's k perturbed points theta + mu*u_j.
 
-    Returns (dirs, values): the (k, d) directions of the iteration's
-    seeds and the k observed values, all sharing the iteration's noise
-    seed.
+    ``theta`` is (..., d), ``dir_seeds`` (..., k) and ``noise_seeds`` has
+    the leading shape (...).  Returns (dirs, values): the (..., k, d)
+    directions of the seeds and the (..., k) observed values; a row's k
+    points share its noise seed.  All directions are materialised in one
+    kernel call.
     """
-    seeds = sampling.direction_seeds(master_seed, iteration, cfg.k)
-    dirs = kernels.materialize_block(seeds, int(cfg.tag), theta.shape[0])
-    nseed = sampling.noise_seed(master_seed, iteration)
-    values = np.atleast_1d(obj.eval(theta[None, :] + cfg.mu * dirs, nseed))
+    d = theta.shape[-1]
+    dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(cfg.tag), d)
+    dirs = dirs.reshape(dir_seeds.shape + (d,))
+    values = obj.eval(theta[..., None, :] + cfg.mu * dirs, noise_seeds)
     return dirs, values
 
 
 def _weighted_sum(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * dirs[j], accumulated in j order."""
-    grad = np.zeros(dirs.shape[1])
-    for j in range(dirs.shape[0]):
-        grad += coeffs[j] * dirs[j]
+    """sum_j coeffs[..., j] * dirs[..., j, :], accumulated in j order."""
+    grad = np.zeros(dirs.shape[:-2] + dirs.shape[-1:])
+    for j in range(dirs.shape[-2]):
+        grad += coeffs[..., j, None] * dirs[..., j, :]
+    return grad
+
+
+def difference_estimate(obj, theta: np.ndarray, cfg: EstimatorConfig,
+                        dir_seeds: np.ndarray, noise_seeds,
+                        gamma: float | None = None) -> np.ndarray:
+    """Shared evaluation path for the difference-style estimators.
+
+    Queries the k perturbed points and the centre of each row of
+    ``theta`` (..., d) under :func:`query_block`'s seeds and returns the
+    (..., d) gradients.  ``gamma`` multiplies each per-direction
+    coefficient before the reduction, which is how the
+    importance-weighted form enters.
+    """
+    dirs, yk = query_block(obj, theta, cfg, dir_seeds, noise_seeds)
+    y0 = np.asarray(obj.eval(theta, noise_seeds))
+    coeffs = (yk - y0[..., None]) / cfg.mu
+    if gamma is not None:
+        coeffs = gamma * coeffs
+    grad = _weighted_sum(coeffs, dirs)
+    grad *= direction_scale(cfg.tag, theta.shape[-1]) / cfg.k
     return grad
 
 
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
                        master_seed: int, gamma: float | None = None):
-    """Shared evaluation path for the difference-style estimators.
-
-    Returns (gradient, queries_used).  ``gamma`` multiplies each
-    per-direction coefficient before the reduction, which is how the
-    importance-weighted form enters.
-    """
-    theta = sampling.as_params(theta)
-    dirs, yk = query_block(obj, theta, cfg, iteration, master_seed)
-    y0 = obj.eval(theta, sampling.noise_seed(master_seed, iteration))
-    coeffs = (yk - y0) / cfg.mu
-    if gamma is not None:
-        coeffs = gamma * coeffs
-    grad = _weighted_sum(coeffs, dirs)
-    grad *= direction_scale(cfg.tag, theta.shape[0]) / cfg.k
+    """One run's difference estimate; returns (gradient, queries_used)."""
+    grad = difference_estimate(obj, sampling.as_params(theta), cfg,
+                               sampling.direction_seeds(master_seed, iteration, cfg.k),
+                               sampling.noise_seed(master_seed, iteration), gamma)
     return grad, cfg.k + 1
 
 
@@ -177,8 +217,7 @@ def reinforce_gs_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
     finite-difference form; both run through the same kernel, so the two
     estimates are identical floating-point numbers.
     """
-    if cfg.tag is not DistTag.GAUSSIAN:
-        raise ValueError("the score-function estimator requires Gaussian directions")
+    cfg.require_gaussian()
     return _difference_kernel(obj, theta, cfg, iteration, master_seed)
 
 
@@ -245,25 +284,27 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
 
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
     averaged baseline, the mean of every stored value; the stored
-    directions are summed in ring order.  Consumes no new queries.
+    directions are summed in ring order.  Consumes no new queries.  A
+    lockstep ring gives one (dim,) estimate per row.
     """
     m = len(buffer)
     if m < 2:
         raise InsufficientHistoryError(
             f"history estimate needs at least 2 records, buffer holds {m}")
     values = buffer.values
-    baseline = values.mean()
-    coeffs = (values - baseline) / mu
+    baseline = values.mean(axis=-1)
+    coeffs = (values - baseline[..., None]) / mu
     grad = _weighted_sum(coeffs, buffer.dirs)
     grad *= direction_scale(buffer.tag, buffer.dim) / (m - 1)
     return grad
 
 
 def zohs_estimate(recent_grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of the most recent finite-difference gradients."""
+    """Mean of the most recent finite-difference gradients, oldest first;
+    each may be (d,) or a (..., d) stack of rows."""
     if len(recent_grads) == 0:
         raise ValueError("no gradients to average")
-    return np.mean(np.stack(recent_grads), axis=0)
+    return np.mean(np.stack(recent_grads, axis=-2), axis=-2)
 
 
 def c_n_constant(beta1: float, n: int) -> float:

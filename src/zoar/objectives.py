@@ -51,7 +51,7 @@ class ObjectiveSpec:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
-    def eval(self, theta, noise_seed: int = 0):
+    def eval(self, theta, noise_seed=0):
         return eval(self, theta, noise_seed)
 
     def grad_oracle(self, theta):
@@ -115,16 +115,26 @@ def clean_value(spec: ObjectiveSpec, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def eval(spec: ObjectiveSpec, theta, noise_seed: int = 0):
-    """One stochastic black-box evaluation, deterministic in (theta, noise_seed)."""
+def eval(spec: ObjectiveSpec, theta, noise_seed=0):
+    """One stochastic black-box evaluation, deterministic in (theta, noise_seed).
+
+    ``noise_seed`` is one seed for every point, or an array of seeds whose
+    shape matches the leading axes of the batch: with points of shape
+    (R, k, d) and seeds of shape (R,), row r is keyed on seed r, so
+    ``eval(points, seeds)[r]`` is ``eval(points[r], seeds[r])`` bit for bit.
+    """
     theta = _validated(spec, theta)
     value = _FORMULAS[spec.kind](theta)
     if spec.noise_sigma > 0.0:
-        digests = sampling.point_digest(theta)
-        flat = np.atleast_1d(digests).reshape(-1)
-        point_seeds = kernels.np_fold(np.uint64(noise_seed), flat)
-        z = kernels.materialize_block(point_seeds, kernels.GAUSSIAN, 1)[:, 0]
-        value = value + spec.noise_sigma * (z.reshape(digests.shape) if value.ndim else z[0])
+        digests = np.atleast_1d(sampling.point_digest(theta))
+        seeds = np.asarray(noise_seed, dtype=np.uint64)
+        if seeds.shape != digests.shape[:seeds.ndim]:
+            raise ValueError(f"noise seeds of shape {seeds.shape} do not match "
+                             f"points of shape {theta.shape}")
+        seeds = seeds.reshape(seeds.shape + (1,) * (digests.ndim - seeds.ndim))
+        point_seeds = kernels.np_fold(seeds, digests).reshape(-1)
+        z = kernels.materialize_block(point_seeds, kernels.GAUSSIAN, 1)
+        value = value + spec.noise_sigma * z.reshape(value.shape)
     return float(value) if value.ndim == 0 else value
 
 

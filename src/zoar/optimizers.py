@@ -65,8 +65,8 @@ class MomentState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, dim: int) -> "MomentState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
+    def zeros(cls, shape) -> "MomentState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
@@ -130,51 +130,69 @@ class Trace:
 
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
                      est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig,
-                     iterations: int, master_seed: int, theta0) -> Trace:
+                     iterations: int, master_seed, theta0) -> Trace | list[Trace]:
     """Run the full loop: sample, query, estimate, update, log.
 
-    The trace has iterations+1 rows when the run completes (row 0 is the
+    ``master_seed`` is one run's seed, or a sequence of R run seeds with
+    ``theta0`` of shape (R, d); the R runs then advance in lockstep, one
+    Python step per iteration for all of them, and each gets the trace it
+    would get alone (``wall_ms`` is its share of the shared step: the
+    step's time divided by the rows still running).  Returns a Trace for
+    one seed and a list of R Traces for a sequence.
+
+    A trace has iterations+1 rows when the run completes (row 0 is the
     initial state); a run whose parameters go non-finite or whose clean
     value exceeds the divergence limit stops early with the offending
-    iteration recorded.
+    iteration recorded, and the others carry on without it.
     """
-    theta = sampling.as_params(theta0, obj.dim)
+    single = np.ndim(master_seed) == 0
+    seeds = np.atleast_1d(np.asarray(master_seed, dtype=np.uint64))
+    theta = np.array(theta0, dtype=np.float64, ndmin=2)
+    if theta.shape != (seeds.size, obj.dim):
+        raise ValueError(f"expected initial points of shape {(seeds.size, obj.dim)}, "
+                         f"got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("initial point contains non-finite entries")
     if estimator_kind is EstimatorKind.ZOAR:
         est_cfg.require_reusable()
-        buffer = HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, obj.dim)
+        buffer = HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, obj.dim,
+                               rows=seeds.size)
+    elif estimator_kind is EstimatorKind.REINFORCE_GS:
+        est_cfg.require_gaussian()
     grad_history: list[np.ndarray] = []
 
-    state = MomentState.zeros(obj.dim)
-    f0 = objectives.clean_value(obj, theta)
-    rows = [TraceRow(0, 0, f0, f0 - 0.0, 0.0)]
+    roots = sampling.stream_roots(seeds)
+    live = np.arange(seeds.size)  # the run each row of theta belongs to
+    state = MomentState.zeros(theta.shape)
+    traces = [Trace(rows=[TraceRow(0, 0, f0, f0 - 0.0, 0.0)])
+              for f0 in objectives.clean_value(obj, theta).tolist()]
     queries_cum = 0
-    status, diverged_at = "completed", None
 
     for t in range(1, iterations + 1):
+        if live.size == 0:
+            break
         tic = time.perf_counter()
+        dir_seeds, noise_seeds = sampling.iteration_seeds(roots, t, est_cfg.k)
         if estimator_kind is EstimatorKind.ZOAR:
-            buffer.push_block(*estimators.query_block(obj, theta, est_cfg, t,
-                                                      master_seed))
+            buffer.push_block(*estimators.query_block(obj, theta, est_cfg, dir_seeds,
+                                                      noise_seeds))
             queries = est_cfg.k
             if len(buffer) >= 2:
                 grad = estimators.zoar_estimate(buffer, est_cfg.mu)
             else:
                 # k = 1 warm-up: a single query pins the baseline to its
                 # own value, so the estimate is identically zero
-                grad = np.zeros(obj.dim)
-        elif estimator_kind is EstimatorKind.ZOHS:
-            fd_grad, queries = estimators.fd_estimate(obj, theta, est_cfg, t,
-                                                      master_seed)
-            grad_history.append(fd_grad)
-            if len(grad_history) > est_cfg.n:
-                grad_history.pop(0)
-            grad = estimators.zohs_estimate(grad_history)
-        elif estimator_kind is EstimatorKind.REINFORCE_GS:
-            grad, queries = estimators.reinforce_gs_estimate(obj, theta, est_cfg,
-                                                             t, master_seed)
+                grad = np.zeros_like(theta)
         else:
-            grad, queries = estimators.fd_estimate(obj, theta, est_cfg, t,
-                                                   master_seed)
+            # vanilla and the score-function twin share one kernel
+            grad = estimators.difference_estimate(obj, theta, est_cfg, dir_seeds,
+                                                  noise_seeds)
+            queries = est_cfg.k + 1
+            if estimator_kind is EstimatorKind.ZOHS:
+                grad_history.append(grad)
+                if len(grad_history) > est_cfg.n:
+                    grad_history.pop(0)
+                grad = estimators.zohs_estimate(grad_history)
 
         if opt_cfg.rule is UpdateRule.SGD:
             theta = sgd_step(theta, grad, opt_cfg)
@@ -184,14 +202,21 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
             theta, state = radazo_step(theta, state, grad, opt_cfg)
 
         queries_cum += queries
-        wall_ms = (time.perf_counter() - tic) * 1000.0
-        if not np.all(np.isfinite(theta)):
-            status, diverged_at = "diverged", t
-            break
-        f_clean = objectives.clean_value(obj, theta)
-        if not np.isfinite(f_clean) or abs(f_clean) > DIVERGENCE_LIMIT:
-            status, diverged_at = "diverged", t
-            break
-        rows.append(TraceRow(t, queries_cum, f_clean, f_clean - 0.0, wall_ms))
+        wall_ms = (time.perf_counter() - tic) * 1000.0 / live.size
+        ok = np.all(np.isfinite(theta), axis=1)
+        f_clean = np.full(live.size, np.inf)
+        f_clean[ok] = objectives.clean_value(obj, theta[ok])
+        ok &= np.abs(f_clean) <= DIVERGENCE_LIMIT
+        for r, f, good in zip(live.tolist(), f_clean.tolist(), ok.tolist()):
+            if good:
+                traces[r].rows.append(TraceRow(t, queries_cum, f, f - 0.0, wall_ms))
+            else:
+                traces[r].status, traces[r].diverged_at = "diverged", t
+        if not ok.all():
+            live, theta, roots = live[ok], theta[ok], roots[:, ok]
+            state = MomentState(m=state.m[ok], v=state.v[ok], t=state.t)
+            grad_history = [g[ok] for g in grad_history]
+            if estimator_kind is EstimatorKind.ZOAR:
+                buffer.keep(ok)
 
-    return Trace(rows=rows, status=status, diverged_at=diverged_at)
+    return traces[0] if single else traces

@@ -4,7 +4,9 @@ A direction is defined by a 64-bit seed plus a distribution tag and
 dimension: it materialises from them bit-identically on any machine (see
 :mod:`zoar._kernels` for the exact generator contract).  Seeds for the
 k-th direction of iteration t are derived from the master seed by the
-fixed chain ``fold(fold(fold(master, NS_DIRECTION), t), k)``.
+fixed chain ``fold(fold(fold(master, NS_DIRECTION), t), k)``; the
+optimisation loop derives one iteration's seeds for R runs at once with
+:func:`stream_roots` and :func:`iteration_seeds`, which give the same bits.
 """
 
 import enum
@@ -51,6 +53,23 @@ def direction_seeds(master_seed: int, iteration: int, k: int) -> np.ndarray:
 
 def noise_seed(master_seed: int, iteration: int) -> int:
     return fold(fold(master_seed, NS_NOISE), iteration)
+
+
+def stream_roots(master_seeds: np.ndarray) -> np.ndarray:
+    """Roots of the direction and noise streams of R runs, shape (2, R):
+    ``fold(master, NS_DIRECTION)`` and ``fold(master, NS_NOISE)``."""
+    labels = np.array([[NS_DIRECTION], [NS_NOISE]], dtype=np.uint64)
+    return np_fold(np.asarray(master_seeds, dtype=np.uint64)[None, :], labels)
+
+
+def iteration_seeds(roots: np.ndarray, iteration: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction seeds (R, k) and noise seeds (R,) of one iteration of the
+    R runs whose :func:`stream_roots` are given; row r holds
+    ``direction_seeds(master_r, iteration, k)`` and
+    ``noise_seed(master_r, iteration)``."""
+    dir_roots, noise_seeds = np_fold(roots, np.uint64(iteration))
+    return np_fold(dir_roots[:, None], np.arange(1, k + 1, dtype=np.uint64)), noise_seeds
 
 
 def theta0_seed(master_seed: int) -> int:

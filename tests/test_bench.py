@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,73 @@ def test_matched_theta0_across_estimators():
     b = bench.run_experiment(_cfg(EstimatorKind.ZOAR, repeats=2))
     for ta, tb in zip(a, b):
         assert ta.rows[0].f_clean == tb.rows[0].f_clean
+
+
+def _csv_without_wall(trace, path):
+    bench.write_trace_csv(trace, path)
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("kind,rule,eta,diverged_at", [
+    (EstimatorKind.VANILLA, UpdateRule.SGD, 1e-3, [5, None, None, 3, 5, 7]),
+    (EstimatorKind.ZOHS, UpdateRule.RADAZO, 30.0, [9, None, 24, None, None, None]),
+    (EstimatorKind.ZOAR, UpdateRule.ADAMM, 100.0, [31, 12, None, None, 16, 29]),
+])
+def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch,
+                                                            kind, rule, eta, diverged_at):
+    # rows that diverge leave the group mid-run; the rows left behind keep
+    # their ring, history and moments, so every repeat's trace is the one
+    # it gets when it runs alone
+    cfg = RunConfig(
+        objective=ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4, noise_sigma=0.1),
+        estimator_kind=kind, estimator=EstimatorConfig(mu=0.05, k=3, n=3),
+        optimizer=OptimizerConfig(rule=rule, eta=eta, beta2=0.9),
+        iterations=40, repeats=6, master_seed=7, theta0=Theta0Spec(lo=-2.5, hi=2.5))
+    calls = []
+    run_optimization = bench.run_optimization
+
+    def counting(*args):
+        calls.append(len(args[5]))
+        return run_optimization(*args)
+
+    monkeypatch.setattr(bench, "run_optimization", counting)
+    grouped = bench.run_experiment(cfg)
+    monkeypatch.setattr(bench, "LOCKSTEP_BUDGET", 1)
+    alone = bench.run_experiment(cfg)
+    assert calls == [6] + [1] * 6
+    assert [t.diverged_at for t in grouped] == diverged_at
+    for i, (g, a) in enumerate(zip(grouped, alone)):
+        assert (g.status, g.diverged_at) == (a.status, a.diverged_at)
+        assert g.status == ("completed" if a.diverged_at is None else "diverged")
+        assert (_csv_without_wall(g, tmp_path / f"g{i}.csv")
+                == _csv_without_wall(a, tmp_path / f"a{i}.csv"))
+
+
+def test_wide_repeats_keep_one_ring_live_at_a_time():
+    # d = 10^4 and n*k = 60: one repeat's ring is 4.8 MB, so the repeats run
+    # in groups of one, and two repeats peak no higher than one does
+    k, n, dim = 10, 6, 10_000
+
+    def peak(repeats):
+        cfg = RunConfig(
+            objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, dim),
+            estimator_kind=EstimatorKind.ZOAR,
+            estimator=EstimatorConfig(mu=0.05, k=k, n=n, tag=DistTag.GAUSSIAN),
+            optimizer=OptimizerConfig(eta=0.001), iterations=n + 1, repeats=repeats,
+            master_seed=3)
+        tracemalloc.start()
+        try:
+            traces = bench.run_experiment(cfg)
+            high = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.completed for t in traces)
+        return high
+
+    ring = n * k * dim * 8
+    one = peak(1)
+    assert one > ring
+    assert peak(2) < one + ring
 
 
 def _fake_trace(gaps):

@@ -91,6 +91,20 @@ repeats = 2
     assert summary["status"] == "all_diverged"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unusable_history_config_is_exit_2_before_running(tmp_path, capsys, command):
+    # a zoar ring of n*k = 1 query cannot form an estimate; in a sweep the
+    # vanilla cell listed first must not run either
+    kinds = "zoar" if command == "run" else "[vanilla, zoar]"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[estimator]\nkind = {kinds}\nk = 1\nn = 1\n"
+                   "[run]\niterations = 3\nrepeats = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(command, str(cfg), "--out", str(out)) == 2
+    assert "n*k >= 2" in capsys.readouterr().err
+    assert not list(out.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("section,key", [
     ("objective", "noise_sigma"), ("estimator", "mu"), ("optimizer", "eta"),
     ("optimizer", "beta1"), ("optimizer", "beta2"), ("optimizer", "zeta"),

@@ -67,6 +67,31 @@ def test_noise_deterministic_and_point_keyed():
     assert n1 != n2
 
 
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), k=st.integers(1, 5),
+       dim=st.integers(2, 9), noise_seeds=st.lists(st.integers(0, 2**64 - 1),
+                                                   min_size=4, max_size=4))
+def test_per_row_noise_seeds_match_rows_alone_bitwise(kind, seed, rows, k, dim,
+                                                      noise_seeds):
+    spec = ObjectiveSpec(kind, dim, noise_sigma=0.3)
+    points = (4.0 * kernels.uniform_doubles(seed, rows * k * dim) - 2.0).reshape(
+        rows, k, dim)
+    seeds = np.array(noise_seeds[:rows], dtype=np.uint64)
+    batch = obj_eval(spec, points, seeds)
+    centres = obj_eval(spec, points[:, 0], seeds)
+    assert batch.shape == (rows, k) and centres.shape == (rows,)
+    for r in range(rows):
+        assert np.array_equal(batch[r], obj_eval(spec, points[r], noise_seeds[r]))
+        assert centres[r] == obj_eval(spec, points[r, 0], noise_seeds[r])
+
+
+def test_noise_seeds_must_match_leading_axes():
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3, noise_sigma=0.1)
+    with pytest.raises(ValueError):
+        obj_eval(spec, np.zeros((2, 4, 3)), np.arange(4, dtype=np.uint64))
+
+
 def test_noise_mean_converges_to_clean_value():
     sigma = 0.7
     spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=sigma)

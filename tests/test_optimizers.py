@@ -147,7 +147,8 @@ def test_zoar_rejects_unusable_history_config():
 
 def test_zoar_run_materialises_each_direction_once(monkeypatch):
     # the ring keeps the directions it was pushed, so a run of T
-    # iterations builds T*k rows and never regenerates one from its seed
+    # iterations builds T*k rows and never regenerates one from its seed;
+    # a lockstep group of R runs builds all R*k rows of a step in one call
     rows = []
     materialize_block = kernels.materialize_block
 
@@ -164,7 +165,31 @@ def test_zoar_run_materialises_each_direction_once(monkeypatch):
     T, k = 30, 4
     trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=T, k=k, n=3)
     assert trace.completed and len(trace.rows) == T + 1
-    assert sum(rows) == T * k
+    assert rows == [k] * T
+
+    rows.clear()
+    R, d = 3, 8
+    theta0 = (kernels.uniform_doubles(11, R * d) - 0.5).reshape(R, d)
+    traces = run_optimization(ObjectiveSpec(ObjectiveKind.QUADRATIC, d), EstimatorKind.ZOAR,
+                              EstimatorConfig(mu=0.05, k=k, n=3),
+                              OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), T,
+                              list(range(3, 3 + R)), theta0)
+    assert all(t.completed and len(t.rows) == T + 1 for t in traces)
+    assert rows == [R * k] * T
+
+
+def test_lockstep_traces_match_runs_alone():
+    d, seeds = 8, [3, 17, 2**64 - 5]
+    theta0 = (kernels.uniform_doubles(11, len(seeds) * d) - 0.5).reshape(-1, d)
+    spec = ObjectiveSpec(ObjectiveKind.ACKLEY, d, noise_sigma=0.1)
+    est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
+    cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
+    for est_kind in EstimatorKind:
+        group = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
+        for seed, x0, trace in zip(seeds, theta0, group):
+            alone = run_optimization(spec, est_kind, est, cfg, 25, seed, x0)
+            assert ([r[:4] for r in trace.rows] == [r[:4] for r in alone.rows]
+                    and trace.status == alone.status), est_kind
 
 
 def test_divergence_is_recorded_not_raised():

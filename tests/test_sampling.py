@@ -74,6 +74,18 @@ def test_direction_seeds_match_scalar_chain(master, iteration, k):
                               for j in range(1, k + 1)]
 
 
+@settings(max_examples=40, deadline=None)
+@given(masters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       iteration=st.integers(1, 10**6), k=st.integers(1, 12))
+def test_iteration_seeds_match_scalar_chain(masters, iteration, k):
+    dirs, noise = sampling.iteration_seeds(
+        sampling.stream_roots(np.array(masters, dtype=np.uint64)), iteration, k)
+    assert dirs.dtype == noise.dtype == np.uint64
+    assert dirs.tolist() == [sampling.direction_seeds(m, iteration, k).tolist()
+                             for m in masters]
+    assert noise.tolist() == [sampling.noise_seed(m, iteration) for m in masters]
+
+
 def test_point_digest_order_sensitive():
     a = sampling.point_digest(np.array([1.0, 2.0]))
     b = sampling.point_digest(np.array([2.0, 1.0]))
