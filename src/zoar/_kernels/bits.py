@@ -14,6 +14,13 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 MASK64 = (1 << 64) - 1
 
+# uint64 twins of the constants and shift counts, built once: the
+# vectorised helpers below run in every step's seed derivation
+_U_GOLDEN = np.uint64(GOLDEN)
+_U_M1 = np.uint64(_M1)
+_U_M2 = np.uint64(_M2)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finaliser on a python int, reduced mod 2**64."""
@@ -43,9 +50,9 @@ def np_mix64(z: np.ndarray) -> np.ndarray:
     scalar = z.ndim == 0
     if scalar:
         z = z.reshape(1)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    z = z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _U_M1
+    z = (z ^ (z >> _U27)) * _U_M2
+    z = z ^ (z >> _U31)
     return z[0] if scalar else z
 
 
@@ -56,12 +63,12 @@ def np_fold(parent: np.ndarray, data: np.ndarray) -> np.ndarray:
     scalar = parent.ndim == 0 and data.ndim == 0
     if scalar:
         data = data.reshape(1)
-    inner = np_mix64(data + np.uint64(GOLDEN))
-    out = np_mix64((parent ^ inner) + np.uint64(GOLDEN))
+    inner = np_mix64(data + _U_GOLDEN)
+    out = np_mix64((parent ^ inner) + _U_GOLDEN)
     return out[0] if scalar else out
 
 
 def stream_words(seed: int, n: int) -> np.ndarray:
     """First ``n`` raw 64-bit words of the stream rooted at ``seed``."""
-    counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    counters = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
     return np_mix64(counters + np.uint64(seed & MASK64))

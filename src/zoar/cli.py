@@ -2,9 +2,10 @@
 
 Config files use a strict flat grammar: ``key = value`` lines grouped
 under ``[objective]``, ``[estimator]``, ``[optimizer]``, and ``[run]``
-sections, with ``#`` comments.  Unknown sections or keys are hard
-errors.  A value of the form ``[a, b, c]`` is a list; lists are only
-meaningful to ``sweep``, which expands their Cartesian product.
+sections, with ``#`` comments.  Unknown sections or keys, and a key
+given twice in one section, are hard errors.  A value of the form
+``[a, b, c]`` is a list; lists are only meaningful to ``sweep``, which
+expands their Cartesian product.
 
 Exit codes: 0 success, 2 usage/config error, 3 all repeats diverged,
 4 verification failure.  The environment variable ``ZOAR_SEED``
@@ -77,6 +78,7 @@ _DEFAULTS = {
 def parse_config(text: str) -> dict:
     """Parse the flat grammar into {(section, key): raw string or list}."""
     values: dict = {}
+    first_line: dict = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -95,6 +97,10 @@ def parse_config(text: str) -> dict:
         key = key.lower()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if (section, key) in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} in [{section}] repeats "
+                              f"line {first_line[(section, key)]}")
+        first_line[(section, key)] = lineno
         if raw.startswith("[") and raw.endswith("]"):
             items = [item.strip() for item in raw[1:-1].split(",") if item.strip()]
             if not items:

@@ -105,6 +105,21 @@ def test_unusable_history_config_is_exit_2_before_running(tmp_path, capsys, comm
     assert not list(out.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_key_is_exit_2_naming_both_lines(tmp_path, capsys, command):
+    # the second dim used to override the first silently; the key may
+    # come back under a second [objective] header
+    again = "7" if command == "run" else "[7, 9]"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[objective]\ndim = 5\n[run]\niterations = 3\nrepeats = 1\n"
+                   f"[objective]\ndim = {again}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "line 2" in err and "'dim'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key", [
     ("objective", "noise_sigma"), ("estimator", "mu"), ("optimizer", "eta"),
     ("optimizer", "beta1"), ("optimizer", "beta2"), ("optimizer", "zeta"),

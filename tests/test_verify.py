@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,3 +138,111 @@ def test_suite_serialization_roundtrip():
     assert text.startswith("PASS x:")
     with pytest.raises(ValueError):
         verify.run_suite("bogus", 1)
+
+
+# ---------------------------------------------------------------------------
+# report bits, chunk invariance and memory
+
+# sha256 of reports_to_json(run_suite("all", seed), "all", seed), recorded
+# before the Monte-Carlo checks were chunked; a change that moves a verify
+# bit has to re-record these on purpose
+GOLDEN_REPORT_SHA256 = {
+    7: "2df7d493a459cd3b9ec0f4fba895ac35705b8170fc01ee88c88ea1289027765f",
+    18446744073709551557: "4b8d73d3567083b328d227bd43e49fe411aa8f664e2e338133372fccad3f490d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
+def test_verify_all_report_matches_golden_digest(seed):
+    text = verify.reports_to_json(verify.run_suite("all", seed), "all", seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
+
+
+# one trial per chunk, a few trials per chunk with a short last chunk,
+# the production budget, and the budget the checks used before they were
+# sized to L2
+CHUNK_BUDGETS = [1, 100, verify.TRIAL_CHUNK_ELEMENTS, 4_000_000]
+
+
+def _under_budgets(monkeypatch, fn):
+    results = []
+    for budget in CHUNK_BUDGETS:
+        monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", budget)
+        results.append(fn())
+    return results
+
+
+@pytest.mark.parametrize("tag", list(DistTag))
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_history_estimates_do_not_depend_on_chunk_size(monkeypatch, tag, sigma):
+    spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=sigma)
+    theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0],
+                          [0.0, 0.1, 0.2, 0.3]])
+    cfg = EstimatorConfig(mu=0.07, k=3, tag=tag)
+    grid = np.array([-1.0, 0.0, 2.5])
+    averaged = _under_budgets(monkeypatch, lambda: verify._history_estimates(
+        spec, theta_seq, cfg, 23, seed=5))
+    gridded = _under_budgets(monkeypatch, lambda: verify._history_estimates(
+        spec, theta_seq, cfg, 23, seed=5, baseline_grid=grid))
+    for got in averaged[1:]:
+        assert np.array_equal(got, averaged[0])
+    for got in gridded[1:]:
+        assert np.array_equal(got, gridded[0])
+
+
+def test_check_reports_do_not_depend_on_chunk_size(monkeypatch):
+    ackley = ObjectiveSpec(ObjectiveKind.ACKLEY, 5)
+    equivalence = _under_budgets(monkeypatch, lambda: verify.check_objective_equivalence(
+        ackley, 0.3 * np.ones(5), 0.05, DistTag.GAUSSIAN, 400, 12))
+    theta = np.zeros(6)
+    theta[0] = 1.0
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    grid = 0.50125 + 0.05 * np.arange(-4, 5)
+    baseline = _under_budgets(monkeypatch, lambda: verify.check_optimal_baseline(
+        ObjectiveSpec(ObjectiveKind.QUADRATIC, 6), theta[None, :], cfg, grid, 300, 10))
+    assert all(rep == equivalence[0] for rep in equivalence[1:])
+    assert all(rep == baseline[0] for rep in baseline[1:])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 1 << 20
+
+
+def test_variance_scaling_peak_is_bounded():
+    # acceptance size; the (trials, d) estimates are 0.8 MB, so the peak
+    # is set by one chunk's working arrays
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 10)
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    peak = _traced_peak(lambda: verify.check_variance_scaling(
+        spec, np.full(10, 0.5), cfg, depths=[2, 4, 6], trials=10000, seed=600))
+    assert peak < 16 * MIB
+
+
+def test_optimal_baseline_peak_is_bounded():
+    # acceptance size: 24 probes x 10000 trials x d = 10 estimates; the
+    # variance must not copy that array
+    theta = np.zeros(10)
+    theta[0] = 1.0
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    grid = 0.50125 + 0.05 * np.arange(-10, 11)
+    trials = 10000
+    peak = _traced_peak(lambda: verify.check_optimal_baseline(
+        ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), theta[None, :], cfg, grid,
+        trials, seed=500))
+    estimates_bytes = (grid.shape[0] + 3) * trials * 10 * 8
+    assert peak < 1.5 * estimates_bytes
+
+
+def test_objective_equivalence_peak_is_bounded():
+    peak = _traced_peak(lambda: verify.check_objective_equivalence(
+        ObjectiveSpec(ObjectiveKind.ACKLEY, 5), 0.3 * np.ones(5), 0.05,
+        DistTag.GAUSSIAN, 100000, 41))
+    assert peak < 16 * MIB
