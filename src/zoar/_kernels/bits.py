@@ -5,6 +5,10 @@ identically no matter which backend generated the surrounding floats.
 The stream construction is counter-based (SplitMix64): the j-th raw
 word of the stream rooted at ``seed`` is ``mix64(seed + (j+1)*GOLDEN)``
 mod 2**64, which makes vectorised generation trivial.
+
+The per-entry operation sequence written in :func:`mix64` and
+:func:`fold` is the spec.  The vectorised helpers run it in place on an
+array they allocate once; they never write to an argument.
 """
 
 import numpy as np
@@ -40,20 +44,27 @@ def fold(parent: int, data: int) -> int:
     return mix64(((parent & MASK64) ^ inner) + GOLDEN & MASK64)
 
 
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser run in place on an owned, at least 1-d uint64
+    array; returns ``z``."""
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z
+
+
 def np_mix64(z: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser on a uint64 array.
+    """Vectorised SplitMix64 finaliser on a uint64 array; returns a new
+    array and leaves ``z`` untouched.
 
     0-d inputs are lifted to 1-d internally: numpy warns on *scalar*
     integer wraparound even though the modular result is what we want.
     """
-    z = np.asarray(z, dtype=np.uint64)
-    scalar = z.ndim == 0
-    if scalar:
-        z = z.reshape(1)
-    z = (z ^ (z >> _U30)) * _U_M1
-    z = (z ^ (z >> _U27)) * _U_M2
-    z = z ^ (z >> _U31)
-    return z[0] if scalar else z
+    z = np.array(z, dtype=np.uint64)
+    out = _mix64_inplace(np.atleast_1d(z))
+    return out[0] if z.ndim == 0 else out
 
 
 def np_fold(parent: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -61,14 +72,16 @@ def np_fold(parent: np.ndarray, data: np.ndarray) -> np.ndarray:
     parent = np.asarray(parent, dtype=np.uint64)
     data = np.asarray(data, dtype=np.uint64)
     scalar = parent.ndim == 0 and data.ndim == 0
-    if scalar:
-        data = data.reshape(1)
-    inner = np_mix64(data + _U_GOLDEN)
-    out = np_mix64((parent ^ inner) + _U_GOLDEN)
+    inner = _mix64_inplace(np.atleast_1d(data) + _U_GOLDEN)
+    out = parent ^ inner
+    out += _U_GOLDEN
+    _mix64_inplace(out)
     return out[0] if scalar else out
 
 
 def stream_words(seed: int, n: int) -> np.ndarray:
     """First ``n`` raw 64-bit words of the stream rooted at ``seed``."""
-    counters = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
-    return np_mix64(counters + np.uint64(seed & MASK64))
+    words = np.arange(1, n + 1, dtype=np.uint64)
+    words *= _U_GOLDEN
+    words += np.uint64(seed & MASK64)
+    return _mix64_inplace(words)

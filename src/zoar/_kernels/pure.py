@@ -6,14 +6,32 @@ stable across machines:
 * raw words      ``mix64(seed + (j+1)*GOLDEN)`` (see :mod:`.bits`)
 * open (0,1)     ``((word >> 12)*2 + 1) * 2**-53``  (odd numerator, never 0 or 1/2)
 * standard normal: rational inverse-CDF approximation (Acklam's
-  coefficients, |rel err| < 1.2e-9); the tail branches need a logarithm,
-  which is evaluated by a fixed fdlibm-style polynomial instead of libm
-  so every operation is an IEEE-754 add/sub/mul/div/sqrt in a fixed
-  order.
+  coefficients, |rel err| < 1.2e-9), every step an IEEE-754
+  add/sub/mul/div/sqrt in this order:
+
+  - P_LOW <= p <= 1 - P_LOW: ``q = p - 0.5``, ``r = q*q``, then
+    ``(((((A0*r + A1)*r + A2)*r + A3)*r + A4)*r + A5)*q``
+    ``/ (((((B0*r + B1)*r + B2)*r + B3)*r + B4)*r + 1)``;
+  - p < P_LOW: ``q = sqrt(-2*log(p))``, then
+    ``(((((C0*q + C1)*q + C2)*q + C3)*q + C4)*q + C5)``
+    ``/ ((((D0*q + D1)*q + D2)*q + D3)*q + 1)``, with the logarithm
+    evaluated by a fixed fdlibm-style polynomial (:func:`log_unit`)
+    instead of libm;
+  - p > 1 - P_LOW: minus the p < P_LOW value at ``1 - p``, which is
+    exact for p > 1/2.
 * gaussian direction: ``dim`` normals from the seed's stream
 * sphere direction:   gaussian direction divided by the square root of
-  the *sequential* sum of squared entries (cumsum order)
+  the *sequential* sum of squared entries (left to right)
 * coordinate direction: ``e[word_0 mod dim]``
+
+The spec is the sequence of IEEE operations each entry gets, as written
+above.  The code runs that sequence in place: it allocates each working
+array once and updates it with ``+=``, ``*=`` and friends, which gives
+every entry the same operations in the same order as the plain
+expressions.  The central rational is evaluated on every entry and then
+overwritten in the tails; its denominator has no root for
+r = (p - 1/2)**2 in [0, 1/4] (its minimum there is about 1.1e-4), so
+that spare work cannot raise a floating-point error.
 
 ``materialize_block`` has a compiled twin in ``_ckern.c`` that performs
 the same operations in the same order and must return the same bits;
@@ -22,7 +40,7 @@ every other surface exists only here.
 
 import numpy as np
 
-from .bits import GOLDEN, np_mix64, stream_words
+from .bits import GOLDEN, _mix64_inplace, np_mix64, stream_words
 
 _TWO_NEG53 = 1.0 / 9007199254740992.0
 _SQRT_HALF = 0.70710678118654752440
@@ -71,51 +89,91 @@ def log_unit(x: np.ndarray) -> np.ndarray:
     return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
 
 
+def _horner(x: np.ndarray, coeffs: tuple, out: np.ndarray) -> np.ndarray:
+    """``(..((c0*x + c1)*x + c2)..)*x + c_last`` written into ``out``."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
 def _tail_quantile(p: np.ndarray) -> np.ndarray:
-    # lower-tail branch of the rational approximation (p < P_LOW)
-    q = np.sqrt(-2.0 * log_unit(p))
-    num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-    den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-    return num / den
+    # lower-tail branch of the rational approximation (p < P_LOW):
+    # q = sqrt(-2*log(p)), then C(q) / D(q) by Horner, D's last term 1
+    q = log_unit(p)
+    q *= -2.0
+    np.sqrt(q, out=q)
+    num = _horner(q, _C, np.empty_like(q))
+    num /= _horner(q, _D + (1.0,), np.empty_like(q))
+    return num
+
+
+def _normal_icdf_inplace(p: np.ndarray) -> np.ndarray:
+    """:func:`normal_icdf` of an owned float64 array, which it overwrites."""
+    tail = np.flatnonzero((p < _P_LOW) | (p > _P_HIGH))
+    pt = p.take(tail)
+    tq = _tail_quantile(np.minimum(pt, 1.0 - pt))
+    np.negative(tq, out=tq, where=pt > 0.5)
+    # central branch on every entry: q = p - 1/2, r = q*q,
+    # A(r)*q / B(r) by Horner, B's last term 1; B(r) goes into q's buffer
+    # once q is spent
+    q = p
+    q -= 0.5
+    r = q * q
+    out = _horner(r, _A, np.empty_like(r))
+    out *= q
+    out /= _horner(r, _B + (1.0,), q)
+    out.put(tail, tq)
+    return out
 
 
 def normal_icdf(p: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    lo = p < _P_LOW
-    hi = p > _P_HIGH
-    q = np.where(lo | hi, 0.0, p - 0.5)
-    r = q * q
-    num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    out = num / den
-    if np.any(lo):
-        out[lo] = _tail_quantile(p[lo])
-    if np.any(hi):
-        out[hi] = -_tail_quantile(1.0 - p[hi])
-    return out
+    return _normal_icdf_inplace(np.array(p, dtype=np.float64))
 
 
 def _words_to_open01(words: np.ndarray) -> np.ndarray:
-    odd = (words >> np.uint64(12)) * np.uint64(2) + np.uint64(1)
-    return odd.astype(np.float64) * _TWO_NEG53
+    """Open (0, 1) doubles of an owned uint64 array, which it overwrites."""
+    words >>= 12
+    words *= 2
+    words += 1
+    p = words.astype(np.float64)
+    p *= _TWO_NEG53
+    return p
 
 
 def standard_normals(seed: int, n: int) -> np.ndarray:
     """n i.i.d. standard normal draws from the stream rooted at seed."""
-    return normal_icdf(_words_to_open01(stream_words(seed, n)))
+    return _normal_icdf_inplace(_words_to_open01(stream_words(seed, n)))
 
 
 def uniform_doubles(seed: int, n: int) -> np.ndarray:
     """n uniform draws in [0, 1) from the stream rooted at seed."""
     words = stream_words(seed, n)
-    return (words >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+    words >>= 11
+    p = words.astype(np.float64)
+    p *= _TWO_NEG53
+    return p
 
 
 def _block_words(seeds: np.ndarray, n: int) -> np.ndarray:
-    seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    return np_mix64(seeds[:, None] + counters[None, :])
+    return _mix64_inplace(seeds[:, None] + counters[None, :])
+
+
+def _sequential_row_sums_of_squares(g: np.ndarray) -> np.ndarray:
+    """Per row, ``g[i,0]**2 + g[i,1]**2 + ...`` added strictly left to right."""
+    rows, dim = g.shape
+    if rows >= dim:
+        acc = g[:, 0] * g[:, 0]
+        sq = np.empty_like(acc)
+        for j in range(1, dim):
+            acc += np.multiply(g[:, j], g[:, j], out=sq)
+        return acc
+    sq = g * g
+    return np.cumsum(sq, axis=1, out=sq)[:, -1]
 
 
 def materialize_block(seeds: np.ndarray, tag: int, dim: int) -> np.ndarray:
@@ -127,10 +185,10 @@ def materialize_block(seeds: np.ndarray, tag: int, dim: int) -> np.ndarray:
         out = np.zeros((seeds.shape[0], dim))
         out[np.arange(seeds.shape[0]), idx] = 1.0
         return out
-    g = normal_icdf(_words_to_open01(_block_words(seeds, dim)))
+    g = _normal_icdf_inplace(_words_to_open01(_block_words(seeds, dim)))
     if tag == SPHERE:
-        nrm = np.sqrt(np.cumsum(g * g, axis=1)[:, -1])
-        g = g / nrm[:, None]
+        nrm = np.sqrt(_sequential_row_sums_of_squares(g))
+        g /= nrm[:, None]
     return g
 
 

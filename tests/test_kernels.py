@@ -4,8 +4,9 @@
 ``setup.py``'s own extension into a temporary directory, must give the
 pure backend's bits, and so must its inverse normal CDF.  These tests
 skip only where no C compiler is found.  The rest check the pure backend
-alone, among them the inverse normal CDF against scipy's as an
-independent oracle.
+alone: its in-place inverse normal CDF bit for bit against the plain
+expressions of the spec kept here as a reference, and against scipy's
+as an independent oracle.
 """
 
 import importlib.util
@@ -13,16 +14,19 @@ import math
 import runpy
 import shutil
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from setuptools import Distribution
 from setuptools.command.build_ext import build_ext
 
 import zoar._kernels as kernels
-from zoar import cli
+from zoar import cli, sampling
 from zoar._kernels import bits, pure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,14 +112,137 @@ def test_log_unit_against_math_log():
     assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-14
 
 
+def reference_normal_icdf(p):
+    """The inverse CDF as plain expressions: a masked central pass and one
+    pass per tail, each array built afresh (the pure backend's form before
+    it ran in place)."""
+    p = np.asarray(p, dtype=np.float64)
+    A, B, C, D = pure._A, pure._B, pure._C, pure._D
+
+    def tail(p):
+        q = np.sqrt(-2.0 * pure.log_unit(p))
+        num = ((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5]
+        den = (((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0
+        return num / den
+
+    lo = p < pure._P_LOW
+    hi = p > pure._P_HIGH
+    q = np.where(lo | hi, 0.0, p - 0.5)
+    r = q * q
+    num = (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+    den = ((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0
+    out = num / den
+    if np.any(lo):
+        out[lo] = tail(p[lo])
+    if np.any(hi):
+        out[hi] = -tail(1.0 - p[hi])
+    return out
+
+
+def odd_grid_numerators(width: int) -> np.ndarray:
+    """m of the kernel's open-interval values (2m+1)/2**53: ``width`` on
+    each side of P_LOW, P_HIGH and 1/2, and both extremes 2**-53 and
+    1-2**-53."""
+    centres = [int(x * 2.0**52) for x in (pure._P_LOW, pure._P_HIGH, 0.5)]
+    m = [np.arange(c - width, c + width + 1) for c in centres]
+    return np.concatenate(m + [np.array([0, 2**52 - 1])]).astype(np.uint64)
+
+
+def odd_grid(m: np.ndarray) -> np.ndarray:
+    return (2.0 * m.astype(np.float64) + 1.0) * 2.0**-53
+
+
+def test_icdf_matches_reference_on_odd_grid():
+    p = odd_grid(odd_grid_numerators(2000))
+    assert p.min() == 2.0**-53 and p.max() == 1.0 - 2.0**-53
+    assert np.array_equal(pure.normal_icdf(p), reference_normal_icdf(p))
+    # and on a spread of the kernel's own draws
+    p = pure._words_to_open01(bits.stream_words(3, 200000))
+    assert np.array_equal(pure.normal_icdf(p), reference_normal_icdf(p))
+
+
+def inverse_mix64(w: int) -> int:
+    """z with ``bits.mix64(z) == w``: SplitMix64's finaliser is a bijection."""
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    w = unshift(w, 31)
+    w = unshift(w * pow(bits._M2, -1, 2**64) & bits.MASK64, 27)
+    return unshift(w * pow(bits._M1, -1, 2**64) & bits.MASK64, 30)
+
+
+def seeds_with_first_numerators(m: np.ndarray) -> np.ndarray:
+    """Seeds whose direction's first entry comes from p = (2m+1)/2**53."""
+    return np.array([(inverse_mix64(int(x) << 12) - bits.GOLDEN) & bits.MASK64
+                     for x in m], dtype=np.uint64)
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+EDGE_M = odd_grid_numerators(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=12),
+       dim=st.integers(1, 40),
+       p=st.lists(st.floats(2.0**-60, 1.0 - 2.0**-53), min_size=1, max_size=30),
+       thetas=st.lists(st.floats(allow_nan=False), min_size=1, max_size=16))
+def test_kernels_leave_arguments_unchanged(seeds, dim, p, thetas):
+    """In-place work stays on arrays the kernels own; every tag stays free
+    of floating-point errors at the extremes and branch edges of p."""
+    seeds = np.concatenate([seeds_with_first_numerators(EDGE_M),
+                            np.array(seeds, dtype=np.uint64)])
+    grid_p = odd_grid(EDGE_M)
+    args = {"seeds": read_only(seeds), "p": read_only(p + list(grid_p)),
+            "theta": read_only(np.array(thetas).reshape(1, -1)),
+            "column": read_only(seeds[:, None])}
+    before = {k: v.tobytes() for k, v in args.items()}
+    with np.errstate(all="raise"):
+        bits.np_mix64(args["seeds"])
+        bits.np_fold(args["column"], args["seeds"])
+        bits.np_fold(args["seeds"], np.uint64(7))
+        pure.normal_icdf(args["p"])
+        sampling.point_digest(args["theta"])
+        blocks = {tag: pure.materialize_block(args["seeds"], tag, dim) for tag in TAGS}
+    assert {k: v.tobytes() for k, v in args.items()} == before
+    for out in blocks.values():
+        assert out.shape == (len(seeds), dim) and np.isfinite(out).all()
+    gauss = blocks[pure.GAUSSIAN]
+    assert np.array_equal(gauss[:len(grid_p), 0], reference_normal_icdf(grid_p))
+
+
 def test_pure_sphere_norm_matches_sequential_sum():
-    # the pure backend relies on cumsum accumulating strictly left to right
-    for seed in SEEDS:
-        g = pure.standard_normals(seed, 501)
-        acc = 0.0
-        for v in g:
-            acc += v * v
-        assert np.cumsum(g * g)[-1] == acc
+    # rows >= dim and rows < dim take different reductions in the kernel;
+    # both must add the squares strictly left to right
+    for rows, dim in [(400, 3), (10, 10), (2, 1023)]:
+        seeds = bits.stream_words(rows * dim, rows)
+        g = pure.materialize_block(seeds, pure.GAUSSIAN, dim)
+        u = pure.materialize_block(seeds, pure.SPHERE, dim)
+        for i in range(rows):
+            acc = 0.0
+            for v in g[i].tolist():
+                acc += v * v
+            assert np.array_equal(u[i], g[i] / math.sqrt(acc)), (rows, dim, i)
+
+
+@pytest.mark.parametrize("tag", [pure.GAUSSIAN, pure.SPHERE])
+def test_pure_block_peak_memory_is_bounded(tag):
+    # 10 directions at d = 10**4 are one step of a full-scale run
+    seeds = bits.stream_words(11, 10)
+    tracemalloc.start()
+    try:
+        out = pure.materialize_block(seeds, tag, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out.nbytes, peak / out.nbytes
 
 
 def test_uniform_range_and_mean():
