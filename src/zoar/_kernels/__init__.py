@@ -11,8 +11,8 @@ import numpy as np
 
 from . import pure
 from .bits import GOLDEN, MASK64, fold, mix64, np_fold, np_mix64, stream_words
-from .pure import (COORDINATE, GAUSSIAN, SPHERE, materialize, standard_normals,
-                   uniform_doubles, weighted_direction_sum)
+from .pure import (COORDINATE, GAUSSIAN, SPHERE, materialize, uniform_doubles,
+                   weighted_direction_sum)
 
 try:
     from . import _ckern

@@ -144,11 +144,6 @@ def _words_to_open01(words: np.ndarray) -> np.ndarray:
     return p
 
 
-def standard_normals(seed: int, n: int) -> np.ndarray:
-    """n i.i.d. standard normal draws from the stream rooted at seed."""
-    return _normal_icdf_inplace(_words_to_open01(stream_words(seed, n)))
-
-
 def uniform_doubles(seed: int, n: int) -> np.ndarray:
     """n uniform draws in [0, 1) from the stream rooted at seed."""
     words = stream_words(seed, n)

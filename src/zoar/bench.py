@@ -104,8 +104,6 @@ def run_experiment(cfg: RunConfig) -> list[Trace]:
                   for s in run_seeds]
         traces += run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
                                    cfg.optimizer, cfg.iterations, run_seeds, theta0)
-    for trace in traces:
-        trace.fingerprint = cfg.fingerprint()
     return traces
 
 

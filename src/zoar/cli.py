@@ -40,43 +40,35 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# (section, key) -> (converter, default); the only keys the grammar accepts
 _SCHEMA = {
-    "objective": {"kind": str, "dim": int, "noise_sigma": float},
-    "estimator": {"kind": str, "tag": str, "mu": float, "k": int, "n": int},
-    "optimizer": {"rule": str, "eta": float, "beta1": float, "beta2": float,
-                  "zeta": float, "bias_correction": _parse_bool},
-    "run": {"iterations": int, "repeats": int, "master_seed": int,
-            "theta0_mode": str, "theta0_value": float, "theta0_lo": float,
-            "theta0_hi": float},
-}
-
-_DEFAULTS = {
-    ("objective", "kind"): "quadratic",
-    ("objective", "dim"): "100",
-    ("objective", "noise_sigma"): "0",
-    ("estimator", "kind"): "vanilla",
-    ("estimator", "tag"): "gaussian",
-    ("estimator", "mu"): "0.05",
-    ("estimator", "k"): "10",
-    ("estimator", "n"): "6",
-    ("optimizer", "rule"): "radazo",
-    ("optimizer", "eta"): "0.001",
-    ("optimizer", "beta1"): "0.9",
-    ("optimizer", "beta2"): "0.999",
-    ("optimizer", "zeta"): "1e-8",
-    ("optimizer", "bias_correction"): "false",
-    ("run", "iterations"): "2000",
-    ("run", "repeats"): "5",
-    ("run", "master_seed"): "0",
-    ("run", "theta0_mode"): "uniform",
-    ("run", "theta0_value"): "0",
-    ("run", "theta0_lo"): "-2",
-    ("run", "theta0_hi"): "2",
+    ("objective", "kind"): (str, "quadratic"),
+    ("objective", "dim"): (int, "100"),
+    ("objective", "noise_sigma"): (float, "0"),
+    ("estimator", "kind"): (str, "vanilla"),
+    ("estimator", "tag"): (str, "gaussian"),
+    ("estimator", "mu"): (float, "0.05"),
+    ("estimator", "k"): (int, "10"),
+    ("estimator", "n"): (int, "6"),
+    ("optimizer", "rule"): (str, "radazo"),
+    ("optimizer", "eta"): (float, "0.001"),
+    ("optimizer", "beta1"): (float, "0.9"),
+    ("optimizer", "beta2"): (float, "0.999"),
+    ("optimizer", "zeta"): (float, "1e-8"),
+    ("optimizer", "bias_correction"): (_parse_bool, "false"),
+    ("run", "iterations"): (int, "2000"),
+    ("run", "repeats"): (int, "5"),
+    ("run", "master_seed"): (int, "0"),
+    ("run", "theta0_mode"): (str, "uniform"),
+    ("run", "theta0_value"): (float, "0"),
+    ("run", "theta0_lo"): (float, "-2"),
+    ("run", "theta0_hi"): (float, "2"),
 }
 
 
 def parse_config(text: str) -> dict:
     """Parse the flat grammar into {(section, key): raw string or list}."""
+    sections = {sec for sec, _ in _SCHEMA}
     values: dict = {}
     first_line: dict = {}
     section = None
@@ -86,7 +78,7 @@ def parse_config(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -95,7 +87,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, raw = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in first_line:
             raise ConfigError(f"line {lineno}: key {key!r} in [{section}] repeats "
@@ -113,14 +105,14 @@ def parse_config(text: str) -> dict:
 
 def build_run_config(values: dict, seed_override: int | None = None) -> bench.RunConfig:
     """Materialise a RunConfig from parsed scalar values."""
-    merged = dict(_DEFAULTS)
+    merged = {sk: default for sk, (_, default) in _SCHEMA.items()}
     for sk, raw in values.items():
         if isinstance(raw, list):
             raise ConfigError(f"key {sk[0]}.{sk[1]} is a list; use the sweep command")
         merged[sk] = raw
 
     def get(section, key):
-        conv = _SCHEMA[section][key]
+        conv = _SCHEMA[(section, key)][0]
         raw = merged[(section, key)]
         try:
             value = conv(raw)

@@ -56,8 +56,8 @@ class EstimatorConfig:
     tag: DistTag = DistTag.GAUSSIAN
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n < 1:

@@ -14,6 +14,7 @@ per-iteration seed receive independent noise.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class ObjectiveSpec:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.kind in (ObjectiveKind.LEVY, ObjectiveKind.ROSENBROCK) and self.dim < 2:
             raise ValueError(f"{self.kind.value} requires dimension >= 2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, "
+                             f"got {self.noise_sigma}")
 
     def eval(self, theta, noise_seed=0):
         return eval(self, theta, noise_seed)

@@ -1,6 +1,7 @@
 """Parameter update rules and the query-driven optimization loop."""
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,12 +51,12 @@ class OptimizerConfig:
     bias_correction: bool = False  # adaptive rules only; off mirrors the moment loop
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.zeta > 0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not (self.zeta > 0 and math.isfinite(self.zeta)):
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
 
 
 @dataclass
@@ -118,14 +119,10 @@ class Trace:
     rows: list[TraceRow]
     status: str = "completed"  # "completed" | "diverged"
     diverged_at: int | None = None
-    fingerprint: str = ""
 
     @property
     def completed(self) -> bool:
         return self.status == "completed"
-
-    def final_gap(self) -> float:
-        return self.rows[-1].gap
 
 
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,

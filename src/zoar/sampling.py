@@ -22,7 +22,6 @@ NS_NOISE = 0x02
 NS_THETA0 = 0x03
 NS_REPEAT = 0x04
 NS_TRIAL = 0x05
-NS_POINT = 0x06
 
 
 class DistTag(enum.IntEnum):

@@ -6,6 +6,10 @@ measured standard errors (5 SE unless a check documents otherwise);
 only the algebraic identities use absolute tolerances (0 exactly, or
 1e-9 for the importance-scaling ratio).
 
+The history checks draw directions, points, values and noise through
+:func:`estimators.query_block`, the optimisation loop's own query path;
+only their reduction over each trial's history is the verifier's own.
+
 The Monte-Carlo checks walk their trials in chunks of at most
 ``TRIAL_CHUNK_ELEMENTS`` direction entries (trials x queries x d), so
 that one chunk's directions, points, values and noise digests (512 KiB
@@ -54,8 +58,9 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorised history sampling (the measured object is the reuse estimator
-# formula; a unit test pins this batched path to estimators.zoar_estimate)
+# vectorised history sampling: the loop's query_block draws the queries;
+# the reduction is this module's, pinned to estimators.zoar_estimate by a
+# unit test
 
 def _chunked(trials: int, per_trial: int):
     """(start, size) chunks of ``trials`` with at most
@@ -75,8 +80,9 @@ def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
     """Reuse-estimator samples over independent history fills.
 
     ``theta_seq`` has shape (n_blocks, d); block b of every trial is
-    drawn at theta_seq[b] with its own noise seed, mirroring one
-    iteration of the optimization loop.  Returns estimates of shape
+    drawn at theta_seq[b] with its own noise seed by
+    :func:`estimators.query_block`, as one iteration of the optimization
+    loop draws it.  Returns estimates of shape
     (trials, d), or (len(baseline_grid), trials, d) when an explicit
     baseline grid overrides the averaged baseline.
 
@@ -100,16 +106,8 @@ def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
                                 np.arange(start, start + size, dtype=np.uint64))
         block_roots = kernels.np_fold(roots[:, None], np.arange(n_blocks, dtype=np.uint64))
         dir_seeds = kernels.np_fold(block_roots[:, :, None], np.arange(cfg.k, dtype=np.uint64))
-        dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(cfg.tag), d)
-        dirs = dirs.reshape(size, n_blocks, cfg.k, d)
-        points = theta_seq[None, :, None, :] + cfg.mu * dirs
-        values = objectives.clean_value(spec, points)
-        if spec.noise_sigma > 0.0:
-            noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
-            digests = sampling.point_digest(points)
-            point_seeds = kernels.np_fold(noise_roots[:, :, None], digests)
-            z = kernels.materialize_block(point_seeds.reshape(-1), kernels.GAUSSIAN, 1)
-            values = values + spec.noise_sigma * z[:, 0].reshape(values.shape)
+        noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
+        dirs, values = estimators.query_block(spec, theta_seq, cfg, dir_seeds, noise_roots)
         values = values.reshape(size, m)
         dirs = dirs.reshape(size, m, d)
         if grid is None:

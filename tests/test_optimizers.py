@@ -57,7 +57,7 @@ def test_radazo_step_magnitude_bound():
     theta = np.zeros(5)
     state = MomentState.zeros(5)
     for t in range(200):
-        g = kernels.standard_normals(t + 1, 5) * 10 ** ((t % 7) - 3)
+        g = kernels.materialize(t + 1, kernels.GAUSSIAN, 5) * 10 ** ((t % 7) - 3)
         theta_new, state = radazo_step(theta, state, g, cfg)
         assert np.all(np.abs(theta_new - theta) <= bound * (1 + 1e-12))
         assert np.all(np.isfinite(state.m)) and np.all(state.v >= 0.0)
@@ -87,6 +87,19 @@ def test_optimizer_config_validation():
         OptimizerConfig(beta1=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(zeta=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda x: ObjectiveSpec(ObjectiveKind.QUADRATIC, 3, noise_sigma=x),
+    lambda x: EstimatorConfig(mu=x, k=1),
+    lambda x: OptimizerConfig(eta=x),
+    lambda x: OptimizerConfig(zeta=x),
+], ids=["noise_sigma", "mu", "eta", "zeta"])
+def test_configs_reject_non_finite_floats(make, value):
+    # a nan noise_sigma used to build a spec that evaluated noiselessly
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
 
 
 def _run(kind, est_kind, T=40, seed=3, d=8, **est_kwargs):

@@ -33,7 +33,7 @@ def test_materialize_deterministic(seed, tag, dim):
 
 def test_gaussian_sample_statistics():
     n = 100000
-    draws = kernels.standard_normals(123, n)
+    draws = kernels.materialize(123, kernels.GAUSSIAN, n)
     assert abs(draws.mean()) < 4.0 / math.sqrt(n)
     assert abs(draws.var() - 1.0) < 0.05
 

@@ -12,10 +12,11 @@ from zoar.objectives import ObjectiveKind, ObjectiveSpec
 from zoar.sampling import DistTag
 
 
-def test_batch_history_path_matches_production_estimator():
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_batch_history_path_matches_production_estimator(sigma):
     """The vectorised sampler used by the statistical checks must compute
     the same estimate as estimators.zoar_estimate on the same queries."""
-    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4)
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4, noise_sigma=sigma)
     theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
     trials = 5
@@ -29,10 +30,39 @@ def test_batch_history_path_matches_production_estimator():
         for b, theta in enumerate(theta_seq):
             block_root = kernels.np_fold(root, np.uint64(b))
             seeds = kernels.np_fold(block_root, np.arange(cfg.k, dtype=np.uint64))
+            noise_root = kernels.np_fold(block_root, np.uint64(verify._NS_NOISEROOT))
             dirs = kernels.materialize_block(seeds, int(cfg.tag), 4)
-            buf.push_block(dirs, objectives.clean_value(spec, theta + cfg.mu * dirs))
+            buf.push_block(dirs, objectives.eval(spec, theta + cfg.mu * dirs, noise_root))
         prod = estimators.zoar_estimate(buf, cfg.mu)
         assert np.allclose(batch[i], prod, rtol=1e-12, atol=1e-14)
+
+
+def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
+    """Every chunk's queries come from one estimators.query_block call,
+    and routing them there moves no output bit."""
+    spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=0.1)
+    theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
+    cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.GAUSSIAN)
+    grid = np.array([-1.0, 0.0, 2.5])
+    monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", 100)
+    before = [verify._history_estimates(spec, theta_seq, cfg, 23, seed=5, baseline_grid=g)
+              for g in (None, grid)]
+
+    calls = []
+    real = estimators.query_block
+
+    def spy(obj, theta, cfg_, dir_seeds, noise_seeds):
+        calls.append(dir_seeds.shape)
+        return real(obj, theta, cfg_, dir_seeds, noise_seeds)
+
+    monkeypatch.setattr(estimators, "query_block", spy)
+    after = [verify._history_estimates(spec, theta_seq, cfg, 23, seed=5, baseline_grid=g)
+             for g in (None, grid)]
+    chunks = list(verify._chunked(23, theta_seq.shape[0] * cfg.k * 4))
+    assert len(chunks) > 1
+    assert calls == [(size, theta_seq.shape[0], cfg.k) for _, size in chunks] * 2
+    for got, want in zip(after, before):
+        assert np.array_equal(got, want)
 
 
 def test_objective_equivalence_statistical_and_degenerate():
