@@ -113,9 +113,10 @@ def _tail_quantile(p: np.ndarray) -> np.ndarray:
 def _normal_icdf_inplace(p: np.ndarray) -> np.ndarray:
     """:func:`normal_icdf` of an owned float64 array, which it overwrites."""
     tail = np.flatnonzero((p < _P_LOW) | (p > _P_HIGH))
-    pt = p.take(tail)
-    tq = _tail_quantile(np.minimum(pt, 1.0 - pt))
-    np.negative(tq, out=tq, where=pt > 0.5)
+    if tail.size:
+        pt = p.take(tail)
+        tq = _tail_quantile(np.minimum(pt, 1.0 - pt))
+        np.negative(tq, out=tq, where=pt > 0.5)
     # central branch on every entry: q = p - 1/2, r = q*q,
     # A(r)*q / B(r) by Horner, B's last term 1; B(r) goes into q's buffer
     # once q is spent
@@ -125,7 +126,8 @@ def _normal_icdf_inplace(p: np.ndarray) -> np.ndarray:
     out = _horner(r, _A, np.empty_like(r))
     out *= q
     out /= _horner(r, _B + (1.0,), q)
-    out.put(tail, tq)
+    if tail.size:
+        out.put(tail, tq)
     return out
 
 

@@ -15,12 +15,17 @@ what the averaged-history expectation and optimal-baseline checks rely
 on.  Gaussian directions need no correction (their second moment is the
 identity) and coordinate directions follow the plain averaged form.
 
-Every estimator draws an iteration's k queries through
-:func:`query_block`.  The history-reuse estimator keeps the n*k most
-recent queries in a :class:`HistoryBuffer` of two arrays, the
-materialised directions and their observed values, so forming the
-estimate materialises nothing: each direction is built once, when it is
-queried.  Every estimate reduces its directions through one j-ordered
+A query's direction depends on its seed alone, never on the parameters,
+so directions are materialised apart from their evaluation: callers draw
+the directions of many iterations (the optimisation loop) or trials (the
+verifier) with one :func:`directions` call, and every estimator then
+turns an iteration's (..., k, d) block of them into points, values and
+observation noise through :func:`query_block`.  The difference
+estimators evaluate the centre in the same call as its k points.  The
+history-reuse estimator keeps the n*k most recent queries in a
+:class:`HistoryBuffer`, the materialised directions and their observed
+values, so forming the estimate materialises nothing: each direction is
+built once.  Every estimate reduces its directions through one j-ordered
 sum, the operation sequence of ``_kernels.weighted_direction_sum``.
 
 The array-level functions (:func:`query_block`, :func:`difference_estimate`,
@@ -58,6 +63,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        for name in ("k", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
@@ -74,19 +83,21 @@ class EstimatorConfig:
 
 
 class HistoryBuffer:
-    """Ring of the n*k most recent queries as two arrays, oldest first.
+    """Ring of the n*k most recent queries, read oldest first.
 
-    ``dirs`` (n*k, dim) and ``values`` (n*k,) hold one row per query, all
-    drawn from one direction law ``tag``; both are views that the next
-    ``push_block`` overwrites.  ``push_block`` appends exactly one
-    iteration's block of k queries and drops the oldest block once the
-    ring holds n*k rows.
+    All queries are drawn from one direction law ``tag``.  ``values``
+    (n*k,) holds their observed values, a view that the next
+    ``push_block`` overwrites; ``rows()`` gives the matching directions as
+    one (dim,) view per query, and ``dirs`` stacks them into an
+    (n*k, dim) copy.  ``push_block`` appends exactly one iteration's block
+    of k queries and drops the oldest block once the ring holds n*k rows.
+    The new directions go into the oldest block's slot, so a stored
+    direction never moves; only the values, k per block, shift.
 
     With ``rows=R`` the ring serves R runs in lockstep: ``dirs`` is
     (R, n*k, dim), ``values`` (R, n*k), and every block carries one row
     per run.  Directions are stored query-major, so the query-j slice of
-    all R runs is one contiguous (R, dim) array and the ring shifts block
-    by block over non-overlapping memory.
+    all R runs is one contiguous (R, dim) array.
     """
 
     def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int,
@@ -101,13 +112,24 @@ class HistoryBuffer:
         self._dirs = np.zeros((block_size * depth,) + self._lead + (dim,))
         self._values = np.zeros(self._lead + (block_size * depth,))
         self._filled = 0
+        self._next = 0  # slot of the next block, the oldest once the ring is full
 
     def __len__(self) -> int:
         return self._filled
 
+    def _order(self) -> np.ndarray:
+        """Ring rows of the stored queries, oldest first."""
+        k, blocks = self.block_size, self._filled // self.block_size
+        slots = (self._next - blocks + np.arange(blocks)) % self.depth
+        return (slots[:, None] * k + np.arange(k)).reshape(-1)
+
+    def rows(self) -> list[np.ndarray]:
+        """The stored directions oldest first, one (..., dim) view per query."""
+        return [self._dirs[i] for i in self._order().tolist()]
+
     @property
     def dirs(self) -> np.ndarray:
-        return np.moveaxis(self._dirs[self._dirs.shape[0] - self._filled:], 0, -2)
+        return np.moveaxis(self._dirs[self._order()], 0, -2)
 
     @property
     def values(self) -> np.ndarray:
@@ -122,13 +144,11 @@ class HistoryBuffer:
                              f"{np.shape(values)}")
         if not np.all(np.isfinite(values)):
             raise ValueError("query values must be finite")
-        # block by block: one overlapping assignment would make NumPy copy
-        # the whole ring into a temporary first
-        for lo in range(0, self._dirs.shape[0] - k, k):
-            self._dirs[lo:lo + k] = self._dirs[lo + k:lo + 2 * k]
-        self._dirs[-k:] = np.moveaxis(np.asarray(dirs), -2, 0)
+        lo = self._next * k
+        self._dirs[lo:lo + k] = np.moveaxis(np.asarray(dirs), -2, 0)
         self._values[..., :-k] = self._values[..., k:]
         self._values[..., -k:] = values
+        self._next = (self._next + 1) % self.depth
         self._filled = min(self._filled + k, self._dirs.shape[0])
 
     def keep(self, mask: np.ndarray) -> None:
@@ -143,48 +163,59 @@ def direction_scale(tag: DistTag, dim: int) -> float:
     return float(dim) if tag is DistTag.SPHERE else 1.0
 
 
-def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dir_seeds: np.ndarray,
-                noise_seeds) -> tuple[np.ndarray, np.ndarray]:
+def directions(dir_seeds: np.ndarray, tag: DistTag, dim: int) -> np.ndarray:
+    """The (..., dim) directions of an array of seeds, from one kernel call."""
+    dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(tag), dim)
+    return dirs.reshape(dir_seeds.shape + (dim,))
+
+
+def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
+                noise_seeds, centre: bool = False) -> np.ndarray:
     """Evaluate one iteration's k perturbed points theta + mu*u_j.
 
-    ``theta`` is (..., d), ``dir_seeds`` (..., k) and ``noise_seeds`` has
-    the leading shape (...).  Returns (dirs, values): the (..., k, d)
-    directions of the seeds and the (..., k) observed values; a row's k
-    points share its noise seed.  All directions are materialised in one
-    kernel call.
+    ``theta`` is (..., d), ``dirs`` (..., k, d) and ``noise_seeds`` has
+    the leading shape (...).  Returns the (..., k) observed values; a
+    row's points share its noise seed.  With ``centre`` the centre theta
+    is evaluated in the same call, as point k, and the (..., k+1) values
+    are returned; evaluation is shape-invariant, so the centre gets the
+    bits of a lone ``eval(theta, noise_seeds)``.
     """
-    d = theta.shape[-1]
-    dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(cfg.tag), d)
-    dirs = dirs.reshape(dir_seeds.shape + (d,))
-    values = obj.eval(theta[..., None, :] + cfg.mu * dirs, noise_seeds)
-    return dirs, values
+    k, d = dirs.shape[-2:]
+    lead = np.broadcast_shapes(theta.shape[:-1], dirs.shape[:-2])
+    points = np.empty(lead + (k + int(centre), d))
+    perturbed = points[..., :k, :]
+    np.multiply(dirs, cfg.mu, out=perturbed)
+    perturbed += theta[..., None, :]
+    if centre:
+        points[..., k, :] = theta
+    return obj.eval(points, noise_seeds)
 
 
-def _weighted_sum(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[..., j] * dirs[..., j, :], accumulated in j order."""
-    grad = np.zeros(dirs.shape[:-2] + dirs.shape[-1:])
-    for j in range(dirs.shape[-2]):
-        grad += coeffs[..., j, None] * dirs[..., j, :]
+def _weighted_sum(coeffs: np.ndarray, rows) -> np.ndarray:
+    """sum_j coeffs[..., j] * rows[j], accumulated in j order; ``rows`` is
+    a sequence of (..., d) directions."""
+    grad = np.zeros(coeffs.shape[:-1] + rows[0].shape[-1:])
+    for j, u in enumerate(rows):
+        grad += coeffs[..., j, None] * u
     return grad
 
 
 def difference_estimate(obj, theta: np.ndarray, cfg: EstimatorConfig,
-                        dir_seeds: np.ndarray, noise_seeds,
+                        dirs: np.ndarray, noise_seeds,
                         gamma: float | None = None) -> np.ndarray:
     """Shared evaluation path for the difference-style estimators.
 
-    Queries the k perturbed points and the centre of each row of
-    ``theta`` (..., d) under :func:`query_block`'s seeds and returns the
-    (..., d) gradients.  ``gamma`` multiplies each per-direction
-    coefficient before the reduction, which is how the
+    Queries the k perturbed points of the (..., k, d) ``dirs`` and the
+    centre of each row of ``theta`` (..., d) in one :func:`query_block`
+    call and returns the (..., d) gradients.  ``gamma`` multiplies each
+    per-direction coefficient before the reduction, which is how the
     importance-weighted form enters.
     """
-    dirs, yk = query_block(obj, theta, cfg, dir_seeds, noise_seeds)
-    y0 = np.asarray(obj.eval(theta, noise_seeds))
-    coeffs = (yk - y0[..., None]) / cfg.mu
+    values = query_block(obj, theta, cfg, dirs, noise_seeds, centre=True)
+    coeffs = (values[..., :-1] - values[..., -1:]) / cfg.mu
     if gamma is not None:
         coeffs = gamma * coeffs
-    grad = _weighted_sum(coeffs, dirs)
+    grad = _weighted_sum(coeffs, np.moveaxis(dirs, -2, 0))
     grad *= direction_scale(cfg.tag, theta.shape[-1]) / cfg.k
     return grad
 
@@ -192,8 +223,10 @@ def difference_estimate(obj, theta: np.ndarray, cfg: EstimatorConfig,
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
                        master_seed: int, gamma: float | None = None):
     """One run's difference estimate; returns (gradient, queries_used)."""
-    grad = difference_estimate(obj, sampling.as_params(theta), cfg,
-                               sampling.direction_seeds(master_seed, iteration, cfg.k),
+    theta = sampling.as_params(theta)
+    dirs = directions(sampling.direction_seeds(master_seed, iteration, cfg.k),
+                      cfg.tag, theta.shape[-1])
+    grad = difference_estimate(obj, theta, cfg, dirs,
                                sampling.noise_seed(master_seed, iteration), gamma)
     return grad, cfg.k + 1
 
@@ -284,7 +317,7 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
 
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
     averaged baseline, the mean of every stored value; the stored
-    directions are summed in ring order.  Consumes no new queries.  A
+    directions are summed oldest first.  Consumes no new queries.  A
     lockstep ring gives one (dim,) estimate per row.
     """
     m = len(buffer)
@@ -294,7 +327,7 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     values = buffer.values
     baseline = values.mean(axis=-1)
     coeffs = (values - baseline[..., None]) / mu
-    grad = _weighted_sum(coeffs, buffer.dirs)
+    grad = _weighted_sum(coeffs, buffer.rows())
     grad *= direction_scale(buffer.tag, buffer.dim) / (m - 1)
     return grad
 

@@ -45,6 +45,8 @@ class ObjectiveSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int):
+            raise ValueError(f"dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.kind in (ObjectiveKind.LEVY, ObjectiveKind.ROSENBROCK) and self.dim < 2:

@@ -4,9 +4,12 @@ A direction is defined by a 64-bit seed plus a distribution tag and
 dimension: it materialises from them bit-identically on any machine (see
 :mod:`zoar._kernels` for the exact generator contract).  Seeds for the
 k-th direction of iteration t are derived from the master seed by the
-fixed chain ``fold(fold(fold(master, NS_DIRECTION), t), k)``; the
-optimisation loop derives one iteration's seeds for R runs at once with
-:func:`stream_roots` and :func:`iteration_seeds`, which give the same bits.
+fixed chain ``fold(fold(fold(master, NS_DIRECTION), t), k)``.  No seed
+depends on the parameters, so a run's directions can be drawn ahead of its
+iterates: the optimisation loop derives the seeds of a chunk of C
+iterations for R runs at once with :func:`stream_roots` and
+:func:`iteration_seeds`, two vectorised folds that give the bits of the
+scalar chain.
 """
 
 import enum
@@ -61,14 +64,15 @@ def stream_roots(master_seeds: np.ndarray) -> np.ndarray:
     return np_fold(np.asarray(master_seeds, dtype=np.uint64)[None, :], labels)
 
 
-def iteration_seeds(roots: np.ndarray, iteration: int,
+def iteration_seeds(roots: np.ndarray, iterations: range,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction seeds (R, k) and noise seeds (R,) of one iteration of the
-    R runs whose :func:`stream_roots` are given; row r holds
-    ``direction_seeds(master_r, iteration, k)`` and
-    ``noise_seed(master_r, iteration)``."""
-    dir_roots, noise_seeds = np_fold(roots, np.uint64(iteration))
-    return np_fold(dir_roots[:, None], np.arange(1, k + 1, dtype=np.uint64)), noise_seeds
+    """Direction seeds (R, C, k) and noise seeds (R, C) of the C iterations
+    in ``iterations`` of the R runs whose :func:`stream_roots` are given;
+    entry [r, c] holds ``direction_seeds(master_r, t, k)`` and
+    ``noise_seed(master_r, t)`` for the c-th iteration t."""
+    its = np.arange(iterations.start, iterations.stop, iterations.step, dtype=np.uint64)
+    dir_roots, noise_seeds = np_fold(roots[:, :, None], its)
+    return np_fold(dir_roots[..., None], np.arange(1, k + 1, dtype=np.uint64)), noise_seeds
 
 
 def theta0_seed(master_seed: int) -> int:

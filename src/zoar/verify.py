@@ -6,7 +6,8 @@ measured standard errors (5 SE unless a check documents otherwise);
 only the algebraic identities use absolute tolerances (0 exactly, or
 1e-9 for the importance-scaling ratio).
 
-The history checks draw directions, points, values and noise through
+The history checks draw directions with :func:`estimators.directions`
+and turn them into points, values and noise through
 :func:`estimators.query_block`, the optimisation loop's own query path;
 only their reduction over each trial's history is the verifier's own.
 
@@ -107,7 +108,8 @@ def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
         block_roots = kernels.np_fold(roots[:, None], np.arange(n_blocks, dtype=np.uint64))
         dir_seeds = kernels.np_fold(block_roots[:, :, None], np.arange(cfg.k, dtype=np.uint64))
         noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
-        dirs, values = estimators.query_block(spec, theta_seq, cfg, dir_seeds, noise_roots)
+        dirs = estimators.directions(dir_seeds, cfg.tag, d)
+        values = estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
         values = values.reshape(size, m)
         dirs = dirs.reshape(size, m, d)
         if grid is None:

@@ -134,6 +134,17 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, section, key, raw):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key", [
+    ("objective", "dim"), ("estimator", "k"), ("estimator", "n"),
+])
+def test_non_integer_count_is_config_error(tmp_path, capsys, section, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[{section}]\n{key} = 2.5\n")
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
     def no_run(cfg):
         raise AssertionError("the experiment ran before the reference was checked")

@@ -161,6 +161,13 @@ def test_icdf_matches_reference_on_odd_grid():
     assert np.array_equal(pure.normal_icdf(p), reference_normal_icdf(p))
 
 
+def test_icdf_without_tail_entries_matches_reference():
+    # blocks with no entry in a tail skip the tail pass
+    central = np.linspace(pure._P_LOW, pure._P_HIGH, 101)
+    for p in (central, central[50:51], central[:0]):
+        assert np.array_equal(pure.normal_icdf(p), reference_normal_icdf(p))
+
+
 def inverse_mix64(w: int) -> int:
     """z with ``bits.mix64(z) == w``: SplitMix64's finaliser is a bijection."""
     def unshift(z, s):

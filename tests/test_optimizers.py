@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import zoar._kernels as kernels
+from zoar import estimators, objectives, optimizers, sampling
 from zoar.estimators import EstimatorConfig
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
 from zoar.optimizers import (EstimatorKind, MomentState, OptimizerConfig,
@@ -102,6 +104,19 @@ def test_configs_reject_non_finite_floats(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: EstimatorConfig(mu=0.1, k=2.5, n=2),
+    lambda: EstimatorConfig(mu=0.1, k=2, n=2.0),
+    lambda: EstimatorConfig(mu=0.1, k=True),
+    lambda: ObjectiveSpec(ObjectiveKind.QUADRATIC, 3.0),
+    lambda: ObjectiveSpec(ObjectiveKind.QUADRATIC, True),
+], ids=["k-float", "n-float", "k-bool", "dim-float", "dim-bool"])
+def test_configs_reject_non_integer_counts(make):
+    # k = 2.5 used to run a vanilla trace that logged queries_cum 10.5
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def _run(kind, est_kind, T=40, seed=3, d=8, **est_kwargs):
     spec = ObjectiveSpec(kind, d)
     est = EstimatorConfig(**{"mu": 0.05, "k": 4, "n": 3,
@@ -161,7 +176,8 @@ def test_zoar_rejects_unusable_history_config():
 def test_zoar_run_materialises_each_direction_once(monkeypatch):
     # the ring keeps the directions it was pushed, so a run of T
     # iterations builds T*k rows and never regenerates one from its seed;
-    # a lockstep group of R runs builds all R*k rows of a step in one call
+    # the loop draws C iterations' directions per call, all R*C*k rows of
+    # a lockstep group of R runs at once, in ceil(T/C) calls
     rows = []
     materialize_block = kernels.materialize_block
 
@@ -175,20 +191,107 @@ def test_zoar_run_materialises_each_direction_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "materialize_block", counting)
     monkeypatch.setattr(kernels, "weighted_direction_sum", forbidden)
-    T, k = 30, 4
-    trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=T, k=k, n=3)
-    assert trace.completed and len(trace.rows) == T + 1
-    assert rows == [k] * T
+    T, k, d = 30, 4, 8
 
-    rows.clear()
-    R, d = 3, 8
-    theta0 = (kernels.uniform_doubles(11, R * d) - 0.5).reshape(R, d)
-    traces = run_optimization(ObjectiveSpec(ObjectiveKind.QUADRATIC, d), EstimatorKind.ZOAR,
-                              EstimatorConfig(mu=0.05, k=k, n=3),
-                              OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), T,
-                              list(range(3, 3 + R)), theta0)
-    assert all(t.completed and len(t.rows) == T + 1 for t in traces)
-    assert rows == [R * k] * T
+    def chunks(R):
+        return math.ceil(T / max(1, optimizers.CHUNK_ELEMENTS // (R * k * d)))
+
+    # the default budget, and one that leaves a short last chunk
+    for budget in (optimizers.CHUNK_ELEMENTS, 7 * 3 * k * d):
+        monkeypatch.setattr(optimizers, "CHUNK_ELEMENTS", budget)
+        rows.clear()
+        trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=T, d=d, k=k, n=3)
+        assert trace.completed and len(trace.rows) == T + 1
+        assert sum(rows) == T * k and len(rows) == chunks(1)
+
+        rows.clear()
+        R = 3
+        theta0 = (kernels.uniform_doubles(11, R * d) - 0.5).reshape(R, d)
+        traces = run_optimization(ObjectiveSpec(ObjectiveKind.QUADRATIC, d),
+                                  EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=3),
+                                  OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), T,
+                                  list(range(3, 3 + R)), theta0)
+        assert all(t.completed and len(t.rows) == T + 1 for t in traces)
+        assert sum(rows) == R * T * k and len(rows) == chunks(R)
+    assert len(rows) == 5  # chunks of 7, 7, 7, 7 and 2 iterations
+
+
+def _diverging_group(est_kind):
+    # Rosenbrock under plain SGD: the row started far out blows up within
+    # a few iterations, the two near the minimum run to the end
+    d, seeds = 4, [3, 17, 2**64 - 5]
+    theta0 = np.array([[1.0, 1.0, 1.0, 1.0], [0.9, 0.8, 0.7, 0.5], [3.0, -3.0, 3.0, -3.0]])
+    spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, d, noise_sigma=0.1)
+    est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
+    cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=4e-4)
+    traces = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
+    return [([r[:4] for r in t.rows], t.status, t.diverged_at) for t in traces]
+
+
+@pytest.mark.parametrize("est_kind", list(EstimatorKind))
+def test_traces_do_not_depend_on_chunk_budget(monkeypatch, est_kind):
+    # one iteration per chunk; chunks of 7 iterations at R = 3, so the
+    # last is short and the divergence falls inside the first; the default
+    per_iteration = 3 * 4 * 4
+    results = []
+    for budget in (1, 7 * per_iteration, optimizers.CHUNK_ELEMENTS):
+        monkeypatch.setattr(optimizers, "CHUNK_ELEMENTS", budget)
+        results.append(_diverging_group(est_kind))
+    statuses = [status for _, status, _ in results[0]]
+    assert statuses == ["completed", "completed", "diverged"]
+    assert 1 < results[0][2][2] < 7
+    assert results[1:] == results[:1] * 2
+
+
+def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
+    spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 6, noise_sigma=0.1)
+    cfg = EstimatorConfig(mu=0.05, k=5, tag=DistTag.GAUSSIAN)
+    R = 3
+    theta = (kernels.uniform_doubles(7, R * 6) - 0.5).reshape(R, 6)
+    dir_seeds, noise = sampling.iteration_seeds(
+        sampling.stream_roots(np.arange(R, dtype=np.uint64)), range(4, 5), cfg.k)
+    dirs = estimators.directions(dir_seeds[:, 0], cfg.tag, 6)
+    real = objectives.eval
+    seen = []
+
+    def spy(spec_, points, noise_seed=0):
+        seen.append((points, real(spec_, points, noise_seed)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(objectives, "eval", spy)
+    estimators.difference_estimate(spec, theta, cfg, dirs, noise[:, 0])
+    [(points, values)] = seen
+    assert points.shape == (R, cfg.k + 1, 6) and np.array_equal(points[:, -1], theta)
+    for r in range(R):
+        assert values[r, -1] == real(spec, theta[r], noise[r, 0])
+
+    # one evaluation per step of the loop
+    T = 9
+    for est_kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS, EstimatorKind.ZOHS):
+        seen.clear()
+        run_optimization(spec, est_kind, cfg, OptimizerConfig(eta=0.01), T, [1, 2, 3],
+                         np.zeros((R, 6)))
+        assert [p.shape for p, _ in seen] == [(R, cfg.k + 1, 6)] * T
+
+
+def test_desk_shaped_run_peak_follows_the_chunk_budget():
+    # d = 100, k = 10, n = 6, 5 repeats, noise on: the ring, one chunk
+    # of directions with the kernel's working arrays (about 3x its
+    # output), and a step's points and their noise digests
+    R, d, k, n, T = 5, 100, 10, 6, 40
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d, noise_sigma=0.05)
+    theta0 = (kernels.uniform_doubles(3, R * d) - 0.5).reshape(R, d)
+    ring = R * n * k * d * 8
+    chunk = max(optimizers.CHUNK_ELEMENTS, R * k * d) * 8
+    step = R * (k + 1) * d * 8
+    tracemalloc.start()
+    try:
+        run_optimization(spec, EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=n),
+                         OptimizerConfig(eta=0.001), T, list(range(R)), theta0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring + 4 * chunk + 4 * step
 
 
 def test_lockstep_traces_match_runs_alone():

@@ -76,14 +76,17 @@ def test_direction_seeds_match_scalar_chain(master, iteration, k):
 
 @settings(max_examples=40, deadline=None)
 @given(masters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
-       iteration=st.integers(1, 10**6), k=st.integers(1, 12))
-def test_iteration_seeds_match_scalar_chain(masters, iteration, k):
+       first=st.integers(1, 10**6), count=st.integers(1, 9), k=st.integers(1, 12))
+def test_iteration_seeds_match_scalar_chain(masters, first, count, k):
+    # a chunk of iterations at once gives the bits of the scalar chain
+    its = range(first, first + count)
     dirs, noise = sampling.iteration_seeds(
-        sampling.stream_roots(np.array(masters, dtype=np.uint64)), iteration, k)
+        sampling.stream_roots(np.array(masters, dtype=np.uint64)), its, k)
     assert dirs.dtype == noise.dtype == np.uint64
-    assert dirs.tolist() == [sampling.direction_seeds(m, iteration, k).tolist()
-                             for m in masters]
-    assert noise.tolist() == [sampling.noise_seed(m, iteration) for m in masters]
+    assert dirs.shape == (len(masters), count, k) and noise.shape == (len(masters), count)
+    assert dirs.tolist() == [[[sampling.direction_seed(m, t, j) for j in range(1, k + 1)]
+                              for t in its] for m in masters]
+    assert noise.tolist() == [[sampling.noise_seed(m, t) for t in its] for m in masters]
 
 
 def test_point_digest_order_sensitive():

@@ -51,9 +51,9 @@ def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
     calls = []
     real = estimators.query_block
 
-    def spy(obj, theta, cfg_, dir_seeds, noise_seeds):
-        calls.append(dir_seeds.shape)
-        return real(obj, theta, cfg_, dir_seeds, noise_seeds)
+    def spy(obj, theta, cfg_, dirs, noise_seeds):
+        calls.append(dirs.shape[:-1])
+        return real(obj, theta, cfg_, dirs, noise_seeds)
 
     monkeypatch.setattr(estimators, "query_block", spy)
     after = [verify._history_estimates(spec, theta_seq, cfg, 23, seed=5, baseline_grid=g)
