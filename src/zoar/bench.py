@@ -1,10 +1,4 @@
-"""Experiment orchestration: multi-seed runs, aggregation, speedups, output.
-
-Query accounting: the vanilla and historical-gradient estimators spend
-k+1 evaluations per iteration (k perturbed points plus the centre); the
-reuse estimator spends k, since its gradient is computed from buffered
-records without a centre query.
-"""
+"""Experiment orchestration: multi-seed runs, aggregation, speedups, output."""
 
 import enum
 import hashlib
@@ -17,8 +11,7 @@ from . import _kernels as kernels
 from . import sampling
 from .estimators import EstimatorConfig
 from .objectives import ObjectiveSpec
-from .optimizers import (EstimatorKind, OptimizerConfig, Trace, TraceRow,
-                         run_optimization)
+from .optimizers import EstimatorKind, OptimizerConfig, Trace, run_optimization
 
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
@@ -60,10 +53,12 @@ class RunConfig:
     theta0: Theta0Spec = Theta0Spec()
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        for name in ("iterations", "repeats", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.iterations < 0 or self.repeats < 1:
+            raise ValueError("iterations must be >= 0 and repeats >= 1")
 
     def fingerprint(self) -> str:
         blob = json.dumps({
@@ -128,12 +123,12 @@ def aggregate(traces: list[Trace]) -> Aggregate:
     excluded = len(traces) - len(kept)
     if not kept:
         raise ValueError("no completed traces to aggregate")
-    lengths = {len(t.rows) for t in kept}
+    lengths = {t.f_clean.size for t in kept}
     if len(lengths) != 1:
         raise ValueError("completed traces disagree on length")
-    gaps = np.array([[row.gap for row in t.rows] for t in kept])
-    iters = np.array([row.iter for row in kept[0].rows])
-    return Aggregate(iters=iters, mean_gap=gaps.mean(axis=0),
+    # every objective's minimum is 0, so the gap is the clean value
+    gaps = np.array([t.f_clean for t in kept])
+    return Aggregate(iters=np.arange(gaps.shape[1]), mean_gap=gaps.mean(axis=0),
                      std_gap=gaps.std(axis=0), n=len(kept), excluded=excluded)
 
 
@@ -159,13 +154,10 @@ def queries_speedup(reference: Aggregate, reference_traces: list[Trace],
                     target_gap: float) -> float | None:
     """Speedup measured in cumulative queries instead of iterations."""
     def queries_at(agg, traces, target):
+        # one run's repeats share the per-iteration count
         it = _first_at_or_below(agg, target)
-        if it is None:
-            return None
-        kept = [t for t in traces if t.completed and len(t.rows) > it]
-        if not kept:
-            return None
-        return float(np.mean([t.rows[it].queries_cum for t in kept]))
+        done = [t.queries_per_iter for t in traces if t.completed]
+        return None if it is None or not done else float(it * done[0])
 
     ref = queries_at(reference, reference_traces, target_gap)
     cand = queries_at(candidate, candidate_traces, target_gap)
@@ -184,24 +176,36 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """One line per iteration i: i, i*q, f, its gap f - 0.0, and wall_ms."""
+    q = trace.queries_per_iter
     lines = [TRACE_HEADER]
-    for row in trace.rows:
-        lines.append(f"{row.iter},{row.queries_cum},{_fmt(row.f_clean)},"
-                     f"{_fmt(row.gap)},{_fmt(row.wall_ms)}")
+    for i, (f, w) in enumerate(zip(trace.f_clean.tolist(), trace.wall_ms.tolist())):
+        lines.append(f"{i},{i * q},{_fmt(f)},{_fmt(f - 0.0)},{_fmt(w)}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> Trace:
-    rows = []
+    """Read a trace file back; its rows must agree with the columns they
+    are written from (``write_trace_csv``)."""
+    f_clean, wall_ms, q = [], [], 0
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            it, q, f, g, w = line.strip().split(",")
-            rows.append(TraceRow(int(it), int(q), float(f), float(g), float(w)))
-    return Trace(rows=rows)
+            raise ValueError(f"line 1: unexpected trace header: {header!r}")
+        for i, line in enumerate(fh):
+            try:
+                it, queries, f, gap, w = line.strip().split(",")
+                it, queries, f, gap, w = int(it), int(queries), float(f), float(gap), float(w)
+            except ValueError:
+                raise ValueError(f"line {i + 2}: expected 5 numeric fields") from None
+            q = queries if it == 1 else q
+            if it != i or queries != it * q or gap != f:
+                raise ValueError(f"line {i + 2}: want iter = row index, queries_cum = "
+                                 f"iter * row 1's and gap = f_clean, got {line.strip()!r}")
+            f_clean.append(f)
+            wall_ms.append(w)
+    return Trace(np.array(f_clean), np.array(wall_ms), q)
 
 
 def write_aggregate_csv(agg: Aggregate, path) -> None:

@@ -88,16 +88,16 @@ class HistoryBuffer:
     All queries are drawn from one direction law ``tag``.  ``values``
     (n*k,) holds their observed values, a view that the next
     ``push_block`` overwrites; ``rows()`` gives the matching directions as
-    one (dim,) view per query, and ``dirs`` stacks them into an
-    (n*k, dim) copy.  ``push_block`` appends exactly one iteration's block
-    of k queries and drops the oldest block once the ring holds n*k rows.
-    The new directions go into the oldest block's slot, so a stored
-    direction never moves; only the values, k per block, shift.
+    one (dim,) view per query.  ``push_block`` appends exactly one
+    iteration's block of k queries and drops the oldest block once the
+    ring holds n*k rows.  The new directions go into the oldest block's
+    slot, so a stored direction never moves; only the values, k per
+    block, shift.
 
-    With ``rows=R`` the ring serves R runs in lockstep: ``dirs`` is
-    (R, n*k, dim), ``values`` (R, n*k), and every block carries one row
-    per run.  Directions are stored query-major, so the query-j slice of
-    all R runs is one contiguous (R, dim) array.
+    With ``rows=R`` the ring serves R runs in lockstep: each view of
+    ``rows()`` is (R, dim), ``values`` (R, n*k), and every block carries
+    one row per run.  Directions are stored query-major, so the query-j
+    slice of all R runs is one contiguous (R, dim) array.
     """
 
     def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int,
@@ -126,10 +126,6 @@ class HistoryBuffer:
     def rows(self) -> list[np.ndarray]:
         """The stored directions oldest first, one (..., dim) view per query."""
         return [self._dirs[i] for i in self._order().tolist()]
-
-    @property
-    def dirs(self) -> np.ndarray:
-        return np.moveaxis(self._dirs[self._order()], 0, -2)
 
     @property
     def values(self) -> np.ndarray:

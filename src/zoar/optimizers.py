@@ -4,7 +4,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,25 +112,30 @@ def radazo_step(theta: np.ndarray, state: MomentState, grad: np.ndarray,
     return theta_new, MomentState(m=m, v=v, t=t)
 
 
-class TraceRow(NamedTuple):
-    iter: int
-    queries_cum: int
-    f_clean: float
-    gap: float
-    wall_ms: float
-
-
 @dataclass
 class Trace:
-    """Per-iteration log of one optimization run."""
+    """One run's log as columns: entry t of ``f_clean`` and ``wall_ms`` is
+    iteration t (entry 0 the start), and every iteration spends
+    ``queries_per_iter`` evaluations.  A run that diverged at iteration
+    ``diverged_at`` logs iterations 0 to ``diverged_at - 1``."""
 
-    rows: list[TraceRow]
-    status: str = "completed"  # "completed" | "diverged"
+    f_clean: np.ndarray
+    wall_ms: np.ndarray
+    queries_per_iter: int
     diverged_at: int | None = None
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return self.diverged_at is None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.diverged_at is None else "diverged"
+
+    @property
+    def rows(self) -> range:
+        """The logged iterations (the ``iter`` column), which perfbench counts."""
+        return range(self.f_clean.size)
 
 
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
@@ -152,10 +156,11 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
     The step that draws a chunk carries the chunk's kernel time in its
     ``wall_ms``.
 
-    A trace has iterations+1 rows when the run completes (row 0 is the
-    initial state); a run whose parameters go non-finite or whose clean
-    value exceeds the divergence limit stops early with the offending
-    iteration recorded, and the others carry on without it.
+    Each step writes the live rows' clean values into one (R, T+1) array
+    and its ``wall_ms`` into one shared column; each run's trace is cut
+    from them at the end.  A run whose parameters go non-finite or whose
+    clean value exceeds the divergence limit stops early with the
+    offending iteration recorded, and the others carry on without it.
     """
     single = np.ndim(master_seed) == 0
     seeds = np.atleast_1d(np.asarray(master_seed, dtype=np.uint64))
@@ -173,12 +178,17 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
         est_cfg.require_gaussian()
     grad_history: list[np.ndarray] = []
 
+    # evaluations per iteration: the difference estimators query k points and
+    # the centre; the reuse estimator reads the ring, so it needs no centre
+    queries = est_cfg.k if estimator_kind is EstimatorKind.ZOAR else est_cfg.k + 1
+
     roots = sampling.stream_roots(seeds)
     live = np.arange(seeds.size)  # the run each row of theta belongs to
     state = MomentState.zeros(theta.shape)
-    traces = [Trace(rows=[TraceRow(0, 0, f0, f0 - 0.0, 0.0)])
-              for f0 in objectives.clean_value(obj, theta).tolist()]
-    queries_cum = 0
+    f_clean = np.empty((seeds.size, iterations + 1))
+    f_clean[:, 0] = objectives.clean_value(obj, theta)
+    wall_ms = np.zeros(iterations + 1)
+    ends = np.full(seeds.size, iterations + 1)  # entries each run logs
     first, size = 1, 0  # the drawn chunk covers iterations first..first+size-1
 
     for t in range(1, iterations + 1):
@@ -199,7 +209,6 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
         if estimator_kind is EstimatorKind.ZOAR:
             buffer.push_block(step_dirs, estimators.query_block(obj, theta, est_cfg,
                                                                 step_dirs, step_noise))
-            queries = est_cfg.k
             if len(buffer) >= 2:
                 grad = estimators.zoar_estimate(buffer, est_cfg.mu)
             else:
@@ -210,7 +219,6 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
             # vanilla and the score-function twin share one kernel
             grad = estimators.difference_estimate(obj, theta, est_cfg, step_dirs,
                                                   step_noise)
-            queries = est_cfg.k + 1
             if estimator_kind is EstimatorKind.ZOHS:
                 grad_history.append(grad)
                 if len(grad_history) > est_cfg.n:
@@ -224,18 +232,14 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
         else:
             theta, state = radazo_step(theta, state, grad, opt_cfg)
 
-        queries_cum += queries
-        wall_ms = (time.perf_counter() - tic) * 1000.0 / live.size
+        wall_ms[t] = (time.perf_counter() - tic) * 1000.0 / live.size
         ok = np.all(np.isfinite(theta), axis=1)
-        f_clean = np.full(live.size, np.inf)
-        f_clean[ok] = objectives.clean_value(obj, theta[ok])
-        ok &= np.abs(f_clean) <= DIVERGENCE_LIMIT
-        for r, f, good in zip(live.tolist(), f_clean.tolist(), ok.tolist()):
-            if good:
-                traces[r].rows.append(TraceRow(t, queries_cum, f, f - 0.0, wall_ms))
-            else:
-                traces[r].status, traces[r].diverged_at = "diverged", t
+        f = np.full(live.size, np.inf)
+        f[ok] = objectives.clean_value(obj, theta[ok])
+        ok &= np.abs(f) <= DIVERGENCE_LIMIT
+        f_clean[live, t] = f
         if not ok.all():
+            ends[live[~ok]] = t
             live, theta, roots = live[ok], theta[ok], roots[:, ok]
             dirs, noise_seeds = dirs[ok], noise_seeds[ok]
             state = MomentState(m=state.m[ok], v=state.v[ok], t=state.t)
@@ -243,4 +247,7 @@ def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKin
             if estimator_kind is EstimatorKind.ZOAR:
                 buffer.keep(ok)
 
+    traces = [Trace(f_clean[r, :end], wall_ms[:end], queries,
+                    None if end == iterations + 1 else end)
+              for r, end in enumerate(ends.tolist())]
     return traces[0] if single else traces

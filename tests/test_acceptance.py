@@ -145,14 +145,13 @@ def test_criterion_8_equivalence_experiment():
     theta0 = kernels.uniform_doubles(808, 100) - 0.5
     zoo = run_optimization(spec, EstimatorKind.VANILLA, est, opt, 400, 800, theta0)
     rf = run_optimization(spec, EstimatorKind.REINFORCE_GS, est, opt, 400, 800, theta0)
-    same = all((a.iter, a.queries_cum, a.f_clean, a.gap)
-               == (b.iter, b.queries_cum, b.f_clean, b.gap)
-               for a, b in zip(zoo.rows, rf.rows))
+    same = (zoo.f_clean.tolist() == rf.f_clean.tolist()
+            and zoo.queries_per_iter == rf.queries_per_iter)
     elapsed = time.perf_counter() - tic
     announce(8, same, "ZOO and score-function traces identical over 400 "
                       "iterations at d=100", elapsed)
     assert same
-    assert len(zoo.rows) == len(rf.rows) == 401
+    assert zoo.f_clean.size == rf.f_clean.size == 401
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,7 @@ from zoar import bench
 from zoar.bench import Aggregate, RunConfig, Theta0Mode, Theta0Spec
 from zoar.estimators import EstimatorConfig
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.optimizers import (EstimatorKind, OptimizerConfig, Trace, TraceRow,
-                             UpdateRule)
+from zoar.optimizers import EstimatorKind, OptimizerConfig, Trace, UpdateRule
 from zoar.sampling import DistTag
 
 
@@ -23,7 +23,16 @@ def _cfg(est_kind=EstimatorKind.VANILLA, repeats=3, iterations=30, seed=5,
 
 
 def _strip(trace):
-    return [(r.iter, r.queries_cum, r.f_clean, r.gap) for r in trace.rows]
+    return trace.f_clean.tolist(), trace.queries_per_iter
+
+
+@pytest.mark.parametrize("field,value", [
+    ("iterations", 2.5), ("repeats", 2.0), ("master_seed", 1.5), ("iterations", True),
+], ids=["iterations-float", "repeats-float", "master_seed-float", "iterations-bool"])
+def test_run_config_rejects_non_integer_counts(field, value):
+    # these used to fail late inside the run, or (True) run one iteration
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(_cfg(), **{field: value})
 
 
 def test_run_experiment_repeats_and_determinism():
@@ -35,18 +44,20 @@ def test_run_experiment_repeats_and_determinism():
         assert _strip(a) == _strip(b)
 
 
-def test_initial_row_is_starting_value():
+def test_initial_row_is_starting_value(tmp_path):
     cfg = _cfg(iterations=0, repeats=1)
     trace = bench.run_experiment(cfg)[0]
-    assert len(trace.rows) == 1
-    assert trace.rows[0].gap == trace.rows[0].f_clean
+    assert trace.f_clean.shape == trace.wall_ms.shape == (1,)
+    bench.write_trace_csv(trace, tmp_path / "t.csv")
+    f = repr(trace.f_clean[0].item())
+    assert (tmp_path / "t.csv").read_text().splitlines()[1] == f"0,0,{f},{f},0.0"
 
 
 def test_matched_theta0_across_estimators():
     a = bench.run_experiment(_cfg(EstimatorKind.VANILLA, repeats=2))
     b = bench.run_experiment(_cfg(EstimatorKind.ZOAR, repeats=2))
     for ta, tb in zip(a, b):
-        assert ta.rows[0].f_clean == tb.rows[0].f_clean
+        assert ta.f_clean[0] == tb.f_clean[0]
 
 
 def _csv_without_wall(trace, path):
@@ -117,8 +128,7 @@ def test_wide_repeats_keep_one_ring_live_at_a_time():
 
 
 def _fake_trace(gaps):
-    rows = [TraceRow(i, i, g, g, 0.0) for i, g in enumerate(gaps)]
-    return Trace(rows=rows)
+    return Trace(np.array(gaps), np.zeros(len(gaps)), 1)
 
 
 def test_aggregate_mean_and_population_std():
@@ -139,7 +149,7 @@ def test_aggregate_permutation_invariant():
 
 def test_aggregate_excludes_diverged():
     bad = _fake_trace([9.0])
-    bad.status = "diverged"
+    bad.diverged_at = 1
     agg = bench.aggregate([_fake_trace([1.0]), bad])
     assert agg.n == 1 and agg.excluded == 1
     with pytest.raises(ValueError):
@@ -174,14 +184,14 @@ def test_trace_csv_roundtrip(tmp_path):
     bench.write_trace_csv(trace, path)
     back = bench.read_trace_csv(path)
     assert _strip(back) == _strip(trace)
-    assert [r.wall_ms for r in back.rows] == [r.wall_ms for r in trace.rows]
+    assert back.wall_ms.tolist() == trace.wall_ms.tolist()
     header = path.read_text().splitlines()[0]
     assert header == "iter,queries_cum,f_clean,gap,wall_ms"
 
 
 def test_empty_trace_csv_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    bench.write_trace_csv(Trace(rows=[]), path)
+    bench.write_trace_csv(Trace(np.zeros(0), np.zeros(0), 5), path)
     assert path.read_text() == "iter,queries_cum,f_clean,gap,wall_ms\n"
 
 
@@ -193,6 +203,21 @@ def test_aggregate_csv_roundtrip(tmp_path):
     assert np.array_equal(back.mean_gap, agg.mean_gap)
     assert np.array_equal(back.std_gap, agg.std_gap)
     assert np.array_equal(back.iters, agg.iters)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,0,1.5\n", "line 2: expected 5 numeric fields"),
+    ("0,0,1.5,1.5,0.0\n1,x,0.9,0.9,0.1\n", "line 3: expected 5 numeric fields"),
+    ("0,0,1.5,1.5,0.0\n3,5,0.9,0.9,0.1\n", "line 3: want iter = row index"),
+    ("0,2,1.5,1.5,0.0\n", "line 2: want"),
+    ("0,0,1.5,1.5,0.0\n1,5,0.9,0.9,0.1\n2,11,0.8,0.8,0.1\n", "line 4: want"),
+    ("0,0,1.5,1.5,0.0\n1,5,0.9,0.8,0.1\n", "line 3: want"),
+], ids=["short", "non-numeric", "iter", "queries-row-0", "queries", "gap"])
+def test_trace_csv_malformed_reports_line(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("iter,queries_cum,f_clean,gap,wall_ms\n" + body)
+    with pytest.raises(ValueError, match=message):
+        bench.read_trace_csv(path)
 
 
 def test_aggregate_csv_malformed_reports_line(tmp_path):
@@ -233,7 +258,7 @@ def test_trailing_mean_decreases_on_quadratic_sgd():
         optimizer=OptimizerConfig(rule=UpdateRule.SGD, eta=0.002),
         iterations=1000, repeats=1, master_seed=2)
     trace = bench.run_experiment(cfg)[0]
-    gaps = np.array([r.gap for r in trace.rows])
+    gaps = trace.f_clean
     trailing = np.convolve(gaps, np.ones(100) / 100, mode="valid")
     for t in range(500, trailing.shape[0], 100):
         assert trailing[t] < trailing[t - 500]

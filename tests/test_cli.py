@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from zoar import bench, cli, verify
-from zoar.optimizers import Trace, TraceRow
+from zoar.optimizers import Trace
 
 MINIMAL = """
 [objective]
@@ -282,10 +283,9 @@ def test_sweep_single_cell_matches_run(tmp_path):
             == (run_out / "aggregate.csv").read_bytes())
 
 
-def _trace(gaps, queries, status="completed"):
-    rows = [TraceRow(i, q, g, g, 0.0) for i, (g, q) in enumerate(zip(gaps, queries))]
-    return Trace(rows=rows, status=status,
-                 diverged_at=len(rows) if status == "diverged" else None)
+def _trace(gaps, queries_per_iter, status="completed"):
+    return Trace(np.array(gaps), np.zeros(len(gaps)), queries_per_iter,
+                 diverged_at=len(gaps) if status == "diverged" else None)
 
 
 def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
@@ -295,9 +295,9 @@ def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
     # rows still reach iteration 1, spent 100 there and must not count
     def fake_run_experiment(cfg):
         if cfg.estimator.n == 1:
-            return [_trace([4.0, 3.0, 2.0, 1.0], [0, 10, 20, 30])] * 2
-        return [_trace([4.0, 1.0, 1.0, 1.0], [0, 5, 10, 15]),
-                _trace([4.0, 1.0, 1.0], [0, 100, 200], status="diverged")]
+            return [_trace([4.0, 3.0, 2.0, 1.0], 10)] * 2
+        return [_trace([4.0, 1.0, 1.0, 1.0], 5),
+                _trace([4.0, 1.0, 1.0], 100, status="diverged")]
 
     monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
     cfg = tmp_path / "s.cfg"
@@ -324,8 +324,8 @@ def test_sweep_keeps_results_in_memory(tmp_path, monkeypatch):
 def test_queries_total_comes_from_a_completed_repeat(tmp_path, monkeypatch):
     # repeat 0 diverged after one step; repeat 1 completed 3 iterations
     def fake_run_experiment(cfg):
-        return [_trace([4.0, 2.0], [0, 5], status="diverged"),
-                _trace([4.0, 3.0, 2.0, 1.0], [0, 5, 10, 15])]
+        return [_trace([4.0, 2.0], 5, status="diverged"),
+                _trace([4.0, 3.0, 2.0, 1.0], 5)]
 
     monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
     cfg = tmp_path / "c.cfg"

@@ -238,18 +238,23 @@ def _coord_rows(dim, *indices):
     return kernels.materialize_block(seeds, int(DistTag.COORDINATE), dim)
 
 
+def _stacked(buf):
+    """The ring's directions oldest first, as one (..., n*k, dim) array."""
+    return np.stack(buf.rows(), axis=-2)
+
+
 def test_push_block_ring_semantics():
     buf = _ring(3, 2)
     buf.push_block(_rows([0, 1, 2]), [0.0, 1.0, 2.0])
     assert len(buf) == 3
-    assert buf.dirs.shape == (3, 2)
+    assert _stacked(buf).shape == (3, 2)
     buf.push_block(_rows([3, 4, 5]), [3.0, 4.0, 5.0])
     assert len(buf) == 6
     buf.push_block(_rows([6, 7, 8]), [6.0, 7.0, 8.0])
     assert len(buf) == 6
     assert buf.values.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    assert np.array_equal(buf.dirs, _rows([3, 4, 5, 6, 7, 8]))
-    assert buf.dirs.dtype == np.float64
+    assert np.array_equal(_stacked(buf), _rows([3, 4, 5, 6, 7, 8]))
+    assert _stacked(buf).dtype == np.float64
 
 
 def test_push_block_size_checked():
@@ -267,7 +272,7 @@ def test_depth_one_keeps_latest_block():
     buf = _ring(2, 1)
     for t in range(1, 5):
         buf.push_block(_rows([t, t]), [float(t), float(t)])
-        assert np.array_equal(buf.dirs, _rows([t, t]))
+        assert np.array_equal(_stacked(buf), _rows([t, t]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,7 +282,7 @@ def test_buffer_holds_most_recent_iterations(k, n, total):
     buf = _ring(k, n)
     for t in range(1, total + 1):
         buf.push_block(_rows([t] * k), [0.0] * k)
-    kept = sorted(set(buf.dirs[:, 0].tolist()))
+    kept = sorted(set(_stacked(buf)[:, 0].tolist()))
     assert kept == list(range(max(1, total - n + 1), total + 1))
     assert len(buf) == k * min(n, total)
 

@@ -128,17 +128,15 @@ def _run(kind, est_kind, T=40, seed=3, d=8, **est_kwargs):
 
 def test_zero_iterations_gives_initial_row_only():
     trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.VANILLA, T=0)
-    assert len(trace.rows) == 1
-    assert trace.rows[0].iter == 0
+    assert trace.f_clean.size == trace.wall_ms.size == 1
     assert trace.completed
 
 
 def test_run_is_deterministic():
     a = _run(ObjectiveKind.ACKLEY, EstimatorKind.ZOAR)
     b = _run(ObjectiveKind.ACKLEY, EstimatorKind.ZOAR)
-    rows_a = [(r.iter, r.queries_cum, r.f_clean, r.gap) for r in a.rows]
-    rows_b = [(r.iter, r.queries_cum, r.f_clean, r.gap) for r in b.rows]
-    assert rows_a == rows_b
+    assert a.f_clean.tolist() == b.f_clean.tolist()
+    assert a.queries_per_iter == b.queries_per_iter
 
 
 def test_query_accounting_per_estimator():
@@ -148,24 +146,21 @@ def test_query_accounting_per_estimator():
                                (EstimatorKind.ZOHS, k + 1),
                                (EstimatorKind.ZOAR, k)]:
         trace = _run(ObjectiveKind.QUADRATIC, est_kind, T=T)
-        assert trace.rows[-1].queries_cum == per_iter * T
-        diffs = {b.queries_cum - a.queries_cum
-                 for a, b in zip(trace.rows, trace.rows[1:])}
-        assert diffs == {per_iter}
+        assert trace.queries_per_iter == per_iter
+        assert trace.f_clean.size == T + 1
 
 
 def test_reinforce_twin_produces_identical_trace():
     a = _run(ObjectiveKind.QUADRATIC, EstimatorKind.VANILLA, T=60)
     b = _run(ObjectiveKind.QUADRATIC, EstimatorKind.REINFORCE_GS, T=60)
-    for ra, rb in zip(a.rows, b.rows):
-        assert (ra.iter, ra.f_clean, ra.gap) == (rb.iter, rb.f_clean, rb.gap)
+    assert a.f_clean.tolist() == b.f_clean.tolist()
 
 
 def test_zoar_with_single_query_warmup():
     trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=5, k=1, n=4)
     assert trace.completed
     # the first iteration has one record: estimate is zero, theta unchanged
-    assert trace.rows[1].f_clean == trace.rows[0].f_clean
+    assert trace.f_clean[1] == trace.f_clean[0]
 
 
 def test_zoar_rejects_unusable_history_config():
@@ -201,7 +196,7 @@ def test_zoar_run_materialises_each_direction_once(monkeypatch):
         monkeypatch.setattr(optimizers, "CHUNK_ELEMENTS", budget)
         rows.clear()
         trace = _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=T, d=d, k=k, n=3)
-        assert trace.completed and len(trace.rows) == T + 1
+        assert trace.completed and trace.f_clean.size == T + 1
         assert sum(rows) == T * k and len(rows) == chunks(1)
 
         rows.clear()
@@ -211,7 +206,7 @@ def test_zoar_run_materialises_each_direction_once(monkeypatch):
                                   EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=3),
                                   OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), T,
                                   list(range(3, 3 + R)), theta0)
-        assert all(t.completed and len(t.rows) == T + 1 for t in traces)
+        assert all(t.completed and t.f_clean.size == T + 1 for t in traces)
         assert sum(rows) == R * T * k and len(rows) == chunks(R)
     assert len(rows) == 5  # chunks of 7, 7, 7, 7 and 2 iterations
 
@@ -225,7 +220,8 @@ def _diverging_group(est_kind):
     est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=4e-4)
     traces = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
-    return [([r[:4] for r in t.rows], t.status, t.diverged_at) for t in traces]
+    return [(t.f_clean.tolist(), t.queries_per_iter, t.status, t.diverged_at)
+            for t in traces]
 
 
 @pytest.mark.parametrize("est_kind", list(EstimatorKind))
@@ -237,9 +233,9 @@ def test_traces_do_not_depend_on_chunk_budget(monkeypatch, est_kind):
     for budget in (1, 7 * per_iteration, optimizers.CHUNK_ELEMENTS):
         monkeypatch.setattr(optimizers, "CHUNK_ELEMENTS", budget)
         results.append(_diverging_group(est_kind))
-    statuses = [status for _, status, _ in results[0]]
+    statuses = [status for _, _, status, _ in results[0]]
     assert statuses == ["completed", "completed", "diverged"]
-    assert 1 < results[0][2][2] < 7
+    assert 1 < results[0][2][3] < 7
     assert results[1:] == results[:1] * 2
 
 
@@ -294,6 +290,26 @@ def test_desk_shaped_run_peak_follows_the_chunk_budget():
     assert peak < ring + 4 * chunk + 4 * step
 
 
+def test_traces_retain_two_floats_per_logged_iteration():
+    # a lockstep group logs into one (R, T+1) array of clean values and one
+    # shared (T+1,) wall-time column; per-row objects cost about 170 B a row
+    R, T, d = 5, 2000, 2
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d)
+    est = EstimatorConfig(mu=0.05, k=1)
+    cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=1e-3)
+    theta0 = (kernels.uniform_doubles(5, R * d) - 0.5).reshape(R, d)
+    run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 3, list(range(R)), theta0)
+    tracemalloc.start()
+    try:
+        traces = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, T,
+                                  list(range(R)), theta0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(t.completed and t.f_clean.size == T + 1 for t in traces)
+    assert retained <= 32 * R * (T + 1)
+
+
 def test_lockstep_traces_match_runs_alone():
     d, seeds = 8, [3, 17, 2**64 - 5]
     theta0 = (kernels.uniform_doubles(11, len(seeds) * d) - 0.5).reshape(-1, d)
@@ -304,7 +320,8 @@ def test_lockstep_traces_match_runs_alone():
         group = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
         for seed, x0, trace in zip(seeds, theta0, group):
             alone = run_optimization(spec, est_kind, est, cfg, 25, seed, x0)
-            assert ([r[:4] for r in trace.rows] == [r[:4] for r in alone.rows]
+            assert (trace.f_clean.tolist() == alone.f_clean.tolist()
+                    and trace.queries_per_iter == alone.queries_per_iter
                     and trace.status == alone.status), est_kind
 
 
@@ -316,7 +333,7 @@ def test_divergence_is_recorded_not_raised():
                              np.full(4, 1.5))
     assert trace.status == "diverged"
     assert trace.diverged_at is not None
-    assert len(trace.rows) <= 51
+    assert trace.f_clean.size == trace.diverged_at <= 50
 
 
 def test_gap_decreases_on_quadratic_sgd():
@@ -325,4 +342,4 @@ def test_gap_decreases_on_quadratic_sgd():
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=0.01)
     theta0 = kernels.uniform_doubles(5, 20) * 2 - 1
     trace = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 400, 9, theta0)
-    assert trace.rows[-1].gap < trace.rows[0].gap
+    assert trace.f_clean[-1] < trace.f_clean[0]
