@@ -3,6 +3,7 @@
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,16 @@ class Theta0Spec:
     value: float = 0.0  # fixed mode: every coordinate
     lo: float = -2.0
     hi: float = 2.0
+
+    def __post_init__(self):
+        for name in ("value", "lo", "hi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"theta0 {name} must be finite, got {value}")
+        if self.lo > self.hi:
+            raise ValueError(f"theta0 lo must not exceed hi, got lo={self.lo}, hi={self.hi}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"theta0 range hi - lo overflows: lo={self.lo}, hi={self.hi}")
 
     def build(self, dim: int, seed: int) -> np.ndarray:
         if self.mode is Theta0Mode.FIXED:

@@ -38,7 +38,6 @@ keyed on (iteration, master seed).
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -328,12 +327,12 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     return grad
 
 
-def zohs_estimate(recent_grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of the most recent finite-difference gradients, oldest first;
-    each may be (d,) or a (..., d) stack of rows."""
-    if len(recent_grads) == 0:
+def zohs_estimate(window: np.ndarray) -> np.ndarray:
+    """Mean of a (..., m, d) window of the m most recent finite-difference
+    gradients, oldest first: one (..., d) estimate."""
+    if window.shape[-2] == 0:
         raise ValueError("no gradients to average")
-    return np.mean(np.stack(recent_grads, axis=-2), axis=-2)
+    return np.mean(window, axis=-2)
 
 
 def c_n_constant(beta1: float, n: int) -> float:

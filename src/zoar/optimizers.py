@@ -67,49 +67,36 @@ class OptimizerConfig:
             raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
 
 
-@dataclass
-class MomentState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, shape) -> "MomentState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
-
-
 def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return theta - cfg.eta * grad
 
 
-def adamm_step(theta: np.ndarray, state: MomentState, grad: np.ndarray,
-               cfg: OptimizerConfig) -> tuple[np.ndarray, MomentState]:
-    """Adam-style step: second moment tracks squared gradients."""
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
+def adamm_step(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
+               cfg: OptimizerConfig, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam-style step t (from 1): the second moment tracks squared
+    gradients.  Returns the new (theta, m, v)."""
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
     if cfg.bias_correction:
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
     else:
         m_hat, v_hat = m, v
-    theta_new = theta - cfg.eta * m_hat / np.sqrt(v_hat + cfg.zeta)
-    return theta_new, MomentState(m=m, v=v, t=t)
+    return theta - cfg.eta * m_hat / np.sqrt(v_hat + cfg.zeta), m, v
 
 
-def radazo_step(theta: np.ndarray, state: MomentState, grad: np.ndarray,
-                cfg: OptimizerConfig) -> tuple[np.ndarray, MomentState]:
+def radazo_step(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
+                cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance-refined adaptive step: the second moment is an EMA of the
-    *squared first moment*, and no bias correction is applied.
+    *squared first moment*, and no bias correction is applied.  Returns
+    the new (theta, m, v).
 
     Since v_t >= (1-beta2) m_t^2 elementwise, each coordinate moves by at
     most eta / sqrt(1 - beta2) per step.
     """
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * m * m
-    theta_new = theta - cfg.eta * m / np.sqrt(v + cfg.zeta)
-    return theta_new, MomentState(m=m, v=v, t=t)
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * m * m
+    return theta - cfg.eta * m / np.sqrt(v + cfg.zeta), m, v
 
 
 @dataclass
@@ -138,116 +125,132 @@ class Trace:
         return range(self.f_clean.size)
 
 
+@dataclass
+class LoopState:
+    """A lockstep group mid-loop; row i of each array is run ``live[i]``'s:
+    stream ``roots`` (2, R), ``theta``, ``m``, ``v`` (R, d), the ZOHS window
+    ``grads`` (R, n, d) of the latest gradients, oldest first (shorter for
+    the first n-1 steps, (R, 0, d) for other kinds), the ZoAR ``ring``, and
+    the drawn chunk ``dirs`` (R, C, k, d) and ``noise_seeds`` (R, C) of
+    iterations ``first`` to ``first + C - 1``."""
+
+    live: np.ndarray
+    roots: np.ndarray
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grads: np.ndarray
+    ring: HistoryBuffer | None
+    dirs: np.ndarray
+    noise_seeds: np.ndarray
+    first: int = 1
+
+    def keep(self, ok: np.ndarray) -> None:
+        """Drop the rows whose ``ok`` entry is False."""
+        if ok.all():
+            return
+        self.live, self.roots, self.theta = self.live[ok], self.roots[:, ok], self.theta[ok]
+        self.m, self.v, self.grads = self.m[ok], self.v[ok], self.grads[ok]
+        self.dirs, self.noise_seeds = self.dirs[ok], self.noise_seeds[ok]
+        if self.ring is not None:
+            self.ring.keep(ok)
+
+
+def _step(s: LoopState, t: int, obj: objectives.ObjectiveSpec, kind: EstimatorKind,
+          est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig, iterations: int) -> None:
+    """Move every row of ``s`` through iteration t: draw the next chunk of
+    seeds and directions when it is due, estimate, update."""
+    if t == s.first + s.dirs.shape[1]:
+        s.dirs = s.noise_seeds = None  # release the old chunk before drawing the next
+        size = min(iterations + 1 - t,
+                   max(1, CHUNK_ELEMENTS // (s.live.size * est_cfg.k * obj.dim)))
+        dir_seeds, s.noise_seeds = sampling.iteration_seeds(s.roots, range(t, t + size),
+                                                            est_cfg.k)
+        s.dirs, s.first = estimators.directions(dir_seeds, est_cfg.tag, obj.dim), t
+    dirs, noise = s.dirs[:, t - s.first], s.noise_seeds[:, t - s.first]
+    if kind is EstimatorKind.ZOAR:
+        s.ring.push_block(dirs, estimators.query_block(obj, s.theta, est_cfg, dirs, noise))
+        # k = 1 warm-up: a single query pins the baseline to its own value,
+        # so the estimate is identically zero
+        grad = (estimators.zoar_estimate(s.ring, est_cfg.mu) if len(s.ring) >= 2
+                else np.zeros_like(s.theta))
+    else:
+        # vanilla and the score-function twin share one kernel
+        grad = estimators.difference_estimate(obj, s.theta, est_cfg, dirs, noise)
+        if kind is EstimatorKind.ZOHS:
+            full = s.grads.shape[1] == est_cfg.n  # then the oldest drops out
+            s.grads = np.concatenate((s.grads[:, int(full):], grad[:, None]), axis=1)
+            grad = estimators.zohs_estimate(s.grads)
+    if opt_cfg.rule is UpdateRule.SGD:
+        s.theta = sgd_step(s.theta, grad, opt_cfg)
+    elif opt_cfg.rule is UpdateRule.ADAMM:
+        s.theta, s.m, s.v = adamm_step(s.theta, s.m, s.v, grad, opt_cfg, t)
+    else:
+        s.theta, s.m, s.v = radazo_step(s.theta, s.m, s.v, grad, opt_cfg)
+
+
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
                      est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig,
-                     iterations: int, master_seed, theta0) -> Trace | list[Trace]:
-    """Run the full loop: sample, query, estimate, update, log.
+                     iterations: int, seeds, theta0) -> list[Trace]:
+    """Run the loop (sample, query, estimate, update, log) for R ``seeds``
+    from their (R, d) ``theta0`` in lockstep; returns the R traces.
 
-    ``master_seed`` is one run's seed, or a sequence of R run seeds with
-    ``theta0`` of shape (R, d); the R runs then advance in lockstep, one
-    Python step per iteration for all of them, and each gets the trace it
-    would get alone (``wall_ms`` is its share of the shared step: the
-    step's time divided by the rows still running).  Returns a Trace for
-    one seed and a list of R Traces for a sequence.
-
-    The seeds and directions of the live rows are drawn a chunk of
-    iterations at a time (at most ``CHUNK_ELEMENTS`` direction entries,
-    at least one iteration); each step evaluates its slice of the chunk.
-    The step that draws a chunk carries the chunk's kernel time in its
-    ``wall_ms``.
-
-    Each step writes the live rows' clean values into one (R, T+1) array
-    and its ``wall_ms`` into one shared column; each run's trace is cut
-    from them at the end.  A run whose parameters go non-finite or whose
-    clean value exceeds the divergence limit stops early with the
-    offending iteration recorded, and the others carry on without it.
+    Each :func:`_step` of the group's :class:`LoopState` moves every live
+    run one iteration, and each run gets the trace it would get alone
+    (``wall_ms`` is the step's time divided by the rows still running).
+    Seeds and directions are drawn a chunk of iterations at a time (at
+    most ``CHUNK_ELEMENTS`` direction entries, at least one iteration),
+    and the step that draws one carries its kernel time.  Clean values
+    go into one (R, T+1) array and ``wall_ms`` into one shared column;
+    each trace is cut from them at the end.  A run whose parameters go
+    non-finite or whose clean value exceeds the divergence limit stops
+    with that iteration recorded, and the others carry on; a start that
+    fails this test is diverged at iteration 1 and is never queried.
     """
-    single = np.ndim(master_seed) == 0
-    seeds = np.atleast_1d(np.asarray(master_seed, dtype=np.uint64))
-    theta = np.array(theta0, dtype=np.float64, ndmin=2)
-    if theta.shape != (seeds.size, obj.dim):
-        raise ValueError(f"expected initial points of shape {(seeds.size, obj.dim)}, "
-                         f"got {theta.shape}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    theta = np.array(theta0, dtype=np.float64)
+    R, d = seeds.size, obj.dim
+    if seeds.ndim != 1 or theta.shape != (R, d):
+        raise ValueError(f"expected a sequence of run seeds and initial points of shape "
+                         f"{(R, d)}, got seeds of shape {seeds.shape} and {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("initial point contains non-finite entries")
     if estimator_kind is EstimatorKind.ZOAR:
         est_cfg.require_reusable()
-        buffer = HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, obj.dim,
-                               rows=seeds.size)
     elif estimator_kind is EstimatorKind.REINFORCE_GS:
         est_cfg.require_gaussian()
-    grad_history: list[np.ndarray] = []
 
     # evaluations per iteration: the difference estimators query k points and
     # the centre; the reuse estimator reads the ring, so it needs no centre
     queries = est_cfg.k if estimator_kind is EstimatorKind.ZOAR else est_cfg.k + 1
 
-    roots = sampling.stream_roots(seeds)
-    live = np.arange(seeds.size)  # the run each row of theta belongs to
-    state = MomentState.zeros(theta.shape)
-    f_clean = np.empty((seeds.size, iterations + 1))
+    ring = (HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, d, rows=R)
+            if estimator_kind is EstimatorKind.ZOAR else None)
+    state = LoopState(np.arange(R), sampling.stream_roots(seeds), theta, np.zeros((R, d)),
+                      np.zeros((R, d)), np.empty((R, 0, d)), ring,
+                      np.empty((R, 0, est_cfg.k, d)), np.empty((R, 0), np.uint64))
+    f_clean = np.empty((R, iterations + 1))
     f_clean[:, 0] = objectives.clean_value(obj, theta)
     wall_ms = np.zeros(iterations + 1)
-    ends = np.full(seeds.size, iterations + 1)  # entries each run logs
-    first, size = 1, 0  # the drawn chunk covers iterations first..first+size-1
+    ends = np.full(R, iterations + 1)  # entries each run logs
+    ok = np.abs(f_clean[:, 0]) <= DIVERGENCE_LIMIT
+    ends[~ok] = 1
+    state.keep(ok)
 
     for t in range(1, iterations + 1):
-        if live.size == 0:
+        if state.live.size == 0:
             break
         tic = time.perf_counter()
-        if t == first + size:
-            # release the old chunk, and the last step's view of it, before
-            # drawing the next
-            dirs = noise_seeds = step_dirs = None
-            first = t
-            size = min(iterations + 1 - t,
-                       max(1, CHUNK_ELEMENTS // (live.size * est_cfg.k * obj.dim)))
-            dir_seeds, noise_seeds = sampling.iteration_seeds(roots, range(t, t + size),
-                                                              est_cfg.k)
-            dirs = estimators.directions(dir_seeds, est_cfg.tag, obj.dim)
-        step_dirs, step_noise = dirs[:, t - first], noise_seeds[:, t - first]
-        if estimator_kind is EstimatorKind.ZOAR:
-            buffer.push_block(step_dirs, estimators.query_block(obj, theta, est_cfg,
-                                                                step_dirs, step_noise))
-            if len(buffer) >= 2:
-                grad = estimators.zoar_estimate(buffer, est_cfg.mu)
-            else:
-                # k = 1 warm-up: a single query pins the baseline to its
-                # own value, so the estimate is identically zero
-                grad = np.zeros_like(theta)
-        else:
-            # vanilla and the score-function twin share one kernel
-            grad = estimators.difference_estimate(obj, theta, est_cfg, step_dirs,
-                                                  step_noise)
-            if estimator_kind is EstimatorKind.ZOHS:
-                grad_history.append(grad)
-                if len(grad_history) > est_cfg.n:
-                    grad_history.pop(0)
-                grad = estimators.zohs_estimate(grad_history)
-
-        if opt_cfg.rule is UpdateRule.SGD:
-            theta = sgd_step(theta, grad, opt_cfg)
-        elif opt_cfg.rule is UpdateRule.ADAMM:
-            theta, state = adamm_step(theta, state, grad, opt_cfg)
-        else:
-            theta, state = radazo_step(theta, state, grad, opt_cfg)
-
-        wall_ms[t] = (time.perf_counter() - tic) * 1000.0 / live.size
-        ok = np.all(np.isfinite(theta), axis=1)
-        f = np.full(live.size, np.inf)
-        f[ok] = objectives.clean_value(obj, theta[ok])
+        _step(state, t, obj, estimator_kind, est_cfg, opt_cfg, iterations)
+        wall_ms[t] = (time.perf_counter() - tic) * 1000.0 / state.live.size
+        ok = np.all(np.isfinite(state.theta), axis=1)
+        f = np.full(state.live.size, np.inf)
+        f[ok] = objectives.clean_value(obj, state.theta[ok])
         ok &= np.abs(f) <= DIVERGENCE_LIMIT
-        f_clean[live, t] = f
-        if not ok.all():
-            ends[live[~ok]] = t
-            live, theta, roots = live[ok], theta[ok], roots[:, ok]
-            dirs, noise_seeds = dirs[ok], noise_seeds[ok]
-            state = MomentState(m=state.m[ok], v=state.v[ok], t=state.t)
-            grad_history = [g[ok] for g in grad_history]
-            if estimator_kind is EstimatorKind.ZOAR:
-                buffer.keep(ok)
+        f_clean[state.live, t] = f
+        ends[state.live[~ok]] = t
+        state.keep(ok)
 
-    traces = [Trace(f_clean[r, :end], wall_ms[:end], queries,
-                    None if end == iterations + 1 else end)
-              for r, end in enumerate(ends.tolist())]
-    return traces[0] if single else traces
+    return [Trace(f_clean[r, :end], wall_ms[:end], queries,
+                  None if end == iterations + 1 else end)
+            for r, end in enumerate(ends.tolist())]

@@ -142,9 +142,9 @@ def test_criterion_8_equivalence_experiment():
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 100)
     est = EstimatorConfig(mu=0.05, k=10, tag=DistTag.GAUSSIAN)
     opt = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001)
-    theta0 = kernels.uniform_doubles(808, 100) - 0.5
-    zoo = run_optimization(spec, EstimatorKind.VANILLA, est, opt, 400, 800, theta0)
-    rf = run_optimization(spec, EstimatorKind.REINFORCE_GS, est, opt, 400, 800, theta0)
+    theta0 = (kernels.uniform_doubles(808, 100) - 0.5)[None]
+    [zoo] = run_optimization(spec, EstimatorKind.VANILLA, est, opt, 400, [800], theta0)
+    [rf] = run_optimization(spec, EstimatorKind.REINFORCE_GS, est, opt, 400, [800], theta0)
     same = (zoo.f_clean.tolist() == rf.f_clean.tolist()
             and zoo.queries_per_iter == rf.queries_per_iter)
     elapsed = time.perf_counter() - tic

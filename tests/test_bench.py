@@ -250,6 +250,21 @@ def test_theta0_modes():
     assert np.array_equal(x, uni.build(1000, 7))
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"value": float("nan")}, "finite"),
+    ({"lo": -float("inf")}, "finite"),
+    ({"hi": float("inf")}, "finite"),
+    ({"lo": 1.0, "hi": -1.0}, "must not exceed"),
+    ({"lo": -1e308, "hi": 1e308}, "overflows"),
+], ids=["value-nan", "lo-inf", "hi-inf", "lo-above-hi", "range-overflows"])
+def test_theta0_spec_refuses_bad_bounds(kwargs, match):
+    # lo = 1, hi = -1 used to run silently, and a range of 2e308 built
+    # initial points of inf
+    with pytest.raises(ValueError, match=match):
+        Theta0Spec(**kwargs)
+    assert Theta0Spec(lo=-1e308, hi=0.0).build(4, 3).min() >= -1e308
+
+
 def test_trailing_mean_decreases_on_quadratic_sgd():
     cfg = RunConfig(
         objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, 100),

@@ -92,6 +92,45 @@ repeats = 2
     assert summary["status"] == "all_diverged"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["vanilla", "zoar"])
+def test_start_past_divergence_limit_is_exit_3(tmp_path, kind):
+    # zoar used to die in the history ring on the start's non-finite
+    # query values; both kinds now stop each repeat at iteration 1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"""
+[objective]
+kind = rosenbrock
+dim = 4
+
+[estimator]
+kind = {kind}
+k = 3
+n = 2
+
+[run]
+iterations = 5
+repeats = 2
+theta0_mode = fixed
+theta0_value = 1e100
+""")
+    out = tmp_path / "out"
+    assert run_cli("run", str(cfg), "--out", str(out)) == 3
+    assert json.loads((out / "summary.json").read_text())["status"] == "all_diverged"
+    for r in range(2):  # the start row alone
+        assert bench.read_trace_csv(out / f"trace_r{r}.csv").f_clean.tolist() == [np.inf]
+
+
+@pytest.mark.parametrize("lo,hi", [("-1e308", "1e308"), ("1", "-1")])
+def test_bad_theta0_range_is_config_error(tmp_path, capsys, lo, hi):
+    # a range of 2e308 overflowed into a traceback, and lo > hi ran silently
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL + f"theta0_lo = {lo}\ntheta0_hi = {hi}\n")
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "theta0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_unusable_history_config_is_exit_2_before_running(tmp_path, capsys, command):
     # a zoar ring of n*k = 1 query cannot form an estimate; in a sweep the

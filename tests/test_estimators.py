@@ -383,13 +383,15 @@ def test_zoar_monte_carlo_mean_is_smoothed_gradient():
 
 def test_zohs_examples():
     g = np.array([1.0, -2.0])
-    assert np.array_equal(zohs_estimate([g]), g)
-    assert np.array_equal(zohs_estimate([g, -g]), np.zeros(2))
-    got = zohs_estimate([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                         np.array([1.0, 1.0])])
+    assert np.array_equal(zohs_estimate(g[None]), g)
+    assert np.array_equal(zohs_estimate(np.array([g, -g])), np.zeros(2))
+    got = zohs_estimate(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(got, [2 / 3, 2 / 3], rtol=0, atol=1e-16)
+    # a lockstep (R, m, d) window gives one mean per row
+    window = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [g, -g, g]])
+    assert np.array_equal(zohs_estimate(window), [got, zohs_estimate(np.array([g, -g, g]))])
     with pytest.raises(ValueError):
-        zohs_estimate([])
+        zohs_estimate(np.empty((3, 0, 2)))
 
 
 # ---------------------------------------------------------------------------

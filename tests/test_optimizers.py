@@ -8,9 +8,8 @@ import zoar._kernels as kernels
 from zoar import estimators, objectives, optimizers, sampling
 from zoar.estimators import EstimatorConfig
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.optimizers import (EstimatorKind, MomentState, OptimizerConfig,
-                             UpdateRule, adamm_step, radazo_step,
-                             run_optimization, sgd_step)
+from zoar.optimizers import (EstimatorKind, OptimizerConfig, UpdateRule, adamm_step,
+                             radazo_step, run_optimization, sgd_step)
 from zoar.sampling import DistTag
 
 
@@ -30,23 +29,21 @@ def test_radazo_single_step_closed_form():
     theta0 = np.array([1.0, -2.0])
     v0 = np.array([0.3, 0.0])
     g = np.array([0.5, -1.5])
-    state = MomentState(m=np.zeros(2), v=v0.copy(), t=0)
-    theta1, state1 = radazo_step(theta0, state, g, cfg)
+    theta1, m, v = radazo_step(theta0, np.zeros(2), v0.copy(), g, cfg)
     m1 = (1 - cfg.beta1) * g
     v1 = cfg.beta2 * v0 + (1 - cfg.beta2) * m1 ** 2
     expect = theta0 - cfg.eta * m1 / np.sqrt(v1 + cfg.zeta)
     assert np.array_equal(theta1, expect)
-    assert np.array_equal(state1.m, m1)
-    assert np.array_equal(state1.v, v1)
-    assert state1.t == 1
+    assert np.array_equal(m, m1)
+    assert np.array_equal(v, v1)
 
 
 def test_radazo_zero_gradient_never_moves():
     cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.5)
     theta = np.array([3.0, -1.0])
-    state = MomentState.zeros(2)
+    m = v = np.zeros(2)
     for _ in range(10):
-        theta_new, state = radazo_step(theta, state, np.zeros(2), cfg)
+        theta_new, m, v = radazo_step(theta, m, v, np.zeros(2), cfg)
         assert np.array_equal(theta_new, theta)
         theta = theta_new
 
@@ -57,12 +54,12 @@ def test_radazo_step_magnitude_bound():
                           beta2=0.99, zeta=1e-12)
     bound = cfg.eta / math.sqrt(1 - cfg.beta2)
     theta = np.zeros(5)
-    state = MomentState.zeros(5)
+    m = v = np.zeros(5)
     for t in range(200):
         g = kernels.materialize(t + 1, kernels.GAUSSIAN, 5) * 10 ** ((t % 7) - 3)
-        theta_new, state = radazo_step(theta, state, g, cfg)
+        theta_new, m, v = radazo_step(theta, m, v, g, cfg)
         assert np.all(np.abs(theta_new - theta) <= bound * (1 + 1e-12))
-        assert np.all(np.isfinite(state.m)) and np.all(state.v >= 0.0)
+        assert np.all(np.isfinite(m)) and np.all(v >= 0.0)
         theta = theta_new
 
 
@@ -71,15 +68,20 @@ def test_adamm_recursion_with_and_without_bias_correction():
     theta0 = np.zeros(2)
     raw = OptimizerConfig(rule=UpdateRule.ADAMM, eta=0.1, beta1=0.9, beta2=0.99,
                           zeta=1e-8, bias_correction=False)
-    theta1, st1 = adamm_step(theta0, MomentState.zeros(2), g, raw)
+    theta1, m, v = adamm_step(theta0, np.zeros(2), np.zeros(2), g, raw, 1)
     m1, v1 = (1 - 0.9) * g, (1 - 0.99) * g * g
     assert np.array_equal(theta1, -0.1 * m1 / np.sqrt(v1 + 1e-8))
+    assert np.array_equal(m, m1) and np.array_equal(v, v1)
 
     bc = OptimizerConfig(rule=UpdateRule.ADAMM, eta=0.1, beta1=0.9, beta2=0.99,
                          zeta=1e-8, bias_correction=True)
-    theta1b, _ = adamm_step(theta0, MomentState.zeros(2), g, bc)
+    theta1b, _, _ = adamm_step(theta0, np.zeros(2), np.zeros(2), g, bc, 1)
     mh, vh = m1 / (1 - 0.9), v1 / (1 - 0.99)
     assert np.array_equal(theta1b, -0.1 * mh / np.sqrt(vh + 1e-8))
+    # the correction follows the step count it is given
+    theta2, m2, v2 = adamm_step(theta1b, m, v, g, bc, 2)
+    mh2, vh2 = m2 / (1 - 0.9 ** 2), v2 / (1 - 0.99 ** 2)
+    assert np.array_equal(theta2, theta1b - 0.1 * mh2 / np.sqrt(vh2 + 1e-8))
 
 
 def test_optimizer_config_validation():
@@ -123,7 +125,8 @@ def _run(kind, est_kind, T=40, seed=3, d=8, **est_kwargs):
                              "tag": DistTag.GAUSSIAN, **est_kwargs})
     cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
     theta0 = kernels.uniform_doubles(11, d) - 0.5
-    return run_optimization(spec, est_kind, est, cfg, T, seed, theta0)
+    [trace] = run_optimization(spec, est_kind, est, cfg, T, [seed], theta0[None])
+    return trace
 
 
 def test_zero_iterations_gives_initial_row_only():
@@ -319,18 +322,80 @@ def test_lockstep_traces_match_runs_alone():
     for est_kind in EstimatorKind:
         group = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
         for seed, x0, trace in zip(seeds, theta0, group):
-            alone = run_optimization(spec, est_kind, est, cfg, 25, seed, x0)
+            [alone] = run_optimization(spec, est_kind, est, cfg, 25, [seed], x0[None])
             assert (trace.f_clean.tolist() == alone.f_clean.tolist()
                     and trace.queries_per_iter == alone.queries_per_iter
                     and trace.status == alone.status), est_kind
+
+
+@pytest.mark.parametrize("rule,eta,limit", [(UpdateRule.SGD, 1e-4, 1e5),
+                                             (UpdateRule.ADAMM, 0.01, 260.0),
+                                             (UpdateRule.RADAZO, 0.001, 400.0)])
+def test_lockstep_moments_follow_a_row_that_leaves(monkeypatch, rule, eta, limit):
+    # the middle row starts on Rosenbrock's valley floor far out (f = 235),
+    # where the steps carry it up the steep walls past the limit after
+    # iteration 1; the other two stay near the minimum, so they carry
+    # nonzero moments (bias-corrected under adamm) past the row's exit
+    monkeypatch.setattr(optimizers, "DIVERGENCE_LIMIT", limit)
+    d, T, seeds = 4, 25, [3, 2**64 - 5, 17]
+    theta0 = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 4.0, 16.0, 256.0], [0.9, 0.8, 0.7, 0.5]])
+    spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, d, noise_sigma=0.1)
+    est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
+    cfg = OptimizerConfig(rule=rule, eta=eta, bias_correction=rule is UpdateRule.ADAMM)
+    for est_kind in EstimatorKind:
+        group = run_optimization(spec, est_kind, est, cfg, T, seeds, theta0)
+        assert [t.completed for t in group] == [True, False, True], est_kind
+        assert 1 < group[1].diverged_at < T
+        for seed, x0, trace in zip(seeds, theta0, group):
+            [alone] = run_optimization(spec, est_kind, est, cfg, T, [seed], x0[None])
+            assert (trace.f_clean.tolist() == alone.f_clean.tolist()
+                    and trace.diverged_at == alone.diverged_at), est_kind
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("start", [1e4, 1e100], ids=["past-limit", "overflowing"])
+@pytest.mark.parametrize("est_kind", list(EstimatorKind))
+def test_start_past_divergence_limit_is_diverged_at_one_unqueried(monkeypatch, est_kind,
+                                                                   start):
+    # Rosenbrock reads about 3e18 at 1e4 per coordinate and overflows to
+    # inf at 1e100; the zoar ring used to refuse that row's query values,
+    # and the difference estimators queried and stepped it
+    d, T, seeds = 4, 12, [3, 17, 2**64 - 5]
+    theta0 = np.array([[1.0, 1.0, 1.0, 1.0], [start] * d, [0.9, 0.8, 0.7, 0.5]])
+    spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, d, noise_sigma=0.1)
+    est = EstimatorConfig(mu=0.05, k=3, n=2, tag=DistTag.GAUSSIAN)
+    cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
+    real = objectives.eval
+    queried = []
+
+    def spy(spec_, points, noise_seed=0):
+        queried.append(points.shape[0])
+        return real(spec_, points, noise_seed)
+
+    monkeypatch.setattr(objectives, "eval", spy)
+    group = run_optimization(spec, est_kind, est, cfg, T, seeds, theta0)
+    assert queried == [2] * T
+    assert group[1].diverged_at == 1
+    assert group[1].f_clean.tolist() == [objectives.clean_value(spec, theta0[1])]
+    for r in (0, 2):
+        [alone] = run_optimization(spec, est_kind, est, cfg, T, [seeds[r]], theta0[r:r + 1])
+        assert group[r].completed and group[r].f_clean.tolist() == alone.f_clean.tolist()
+
+
+def test_run_takes_a_sequence_of_seeds():
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
+    est, cfg = EstimatorConfig(mu=0.05, k=2), OptimizerConfig()
+    for seeds, theta0 in [(1, np.zeros(3)), (1, np.zeros((1, 3))), ([1, 2], np.zeros((1, 3)))]:
+        with pytest.raises(ValueError, match="sequence of run seeds"):
+            run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 2, seeds, theta0)
 
 
 def test_divergence_is_recorded_not_raised():
     spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4)
     est = EstimatorConfig(mu=0.05, k=4, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=1e6)
-    trace = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 50, 1,
-                             np.full(4, 1.5))
+    [trace] = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 50, [1],
+                               np.full((1, 4), 1.5))
     assert trace.status == "diverged"
     assert trace.diverged_at is not None
     assert trace.f_clean.size == trace.diverged_at <= 50
@@ -341,5 +406,5 @@ def test_gap_decreases_on_quadratic_sgd():
     est = EstimatorConfig(mu=0.05, k=8, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=0.01)
     theta0 = kernels.uniform_doubles(5, 20) * 2 - 1
-    trace = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 400, 9, theta0)
+    [trace] = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 400, [9], theta0[None])
     assert trace.f_clean[-1] < trace.f_clean[0]
