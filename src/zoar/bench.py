@@ -12,7 +12,8 @@ from . import _kernels as kernels
 from . import sampling
 from .estimators import EstimatorConfig
 from .objectives import ObjectiveSpec
-from .optimizers import EstimatorKind, OptimizerConfig, Trace, run_optimization
+from .optimizers import (Arm, EstimatorKind, OptimizerConfig, Trace, run_arms,
+                         run_optimization)
 
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
@@ -90,26 +91,97 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _group_rows(cfgs: list[RunConfig]) -> int:
+    """Repeats per lockstep group: as many as fit a history ring of each
+    cell's n*k*d in ``LOCKSTEP_BUDGET`` bytes, and at least one."""
+    return min(max(1, LOCKSTEP_BUDGET // (c.estimator.n * c.estimator.k * c.objective.dim * 8))
+               for c in cfgs)
+
+
+def _kept_bytes(cfgs: list[RunConfig]) -> int:
+    """History that one lockstep group of these cells keeps: a ZoAR ring
+    of n*k*d doubles per run, a ZOHS window of n*d; vanilla keeps none."""
+    per_run = 0
+    for c in cfgs:
+        if c.estimator_kind is EstimatorKind.ZOAR:
+            per_run += c.estimator.n * c.estimator.k * c.objective.dim
+        elif c.estimator_kind is EstimatorKind.ZOHS:
+            per_run += c.estimator.n * c.objective.dim
+    return 8 * per_run * min(cfgs[0].repeats, _group_rows(cfgs))
+
+
+def _seed_groups(cfg: RunConfig, rows: int):
+    """The repeats' derived seeds, ``rows`` at a time."""
+    seeds = [sampling.repeat_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
+    return [seeds[lo:lo + rows] for lo in range(0, cfg.repeats, rows)]
+
+
+def _starts(cfg: RunConfig, seeds: list[int]) -> np.ndarray:
+    return np.array([cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(s))
+                     for s in seeds])
+
+
 def run_experiment(cfg: RunConfig) -> list[Trace]:
     """One trace per repeat, with per-repeat derived seeds.
 
     The repeat's initial point and query streams depend only on
     (master_seed, repeat index), so different estimators compared under
     the same master seed see matched initial points and directions.
-    Repeats advance in lockstep groups of as many as fit their history
-    rings in ``LOCKSTEP_BUDGET`` bytes, and at least one; a repeat's
+    Repeats advance in lockstep groups of :func:`_group_rows`; a repeat's
     trace does not depend on the group it ran in.
     """
-    seeds = [sampling.repeat_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
-    ring_bytes = cfg.estimator.n * cfg.estimator.k * cfg.objective.dim * 8
-    group = max(1, LOCKSTEP_BUDGET // ring_bytes)
     traces = []
-    for lo in range(0, cfg.repeats, group):
-        run_seeds = seeds[lo:lo + group]
-        theta0 = [cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(s))
-                  for s in run_seeds]
+    for seeds in _seed_groups(cfg, _group_rows([cfg])):
         traces += run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
-                                   cfg.optimizer, cfg.iterations, run_seeds, theta0)
+                                   cfg.optimizer, cfg.iterations, seeds, _starts(cfg, seeds))
+    return traces
+
+
+def _stream(cfg: RunConfig) -> tuple:
+    """What fixes a cell's seeds and the shape of its directions."""
+    return (cfg.master_seed, cfg.repeats, cfg.iterations, cfg.objective.dim,
+            cfg.estimator.k, cfg.estimator.tag)
+
+
+def _arm_groups(cfgs: list[RunConfig]) -> list[list[int]]:
+    """Indices of the cells that run as arms of one loop, in cell order.
+
+    Cells share a loop only when they share a :func:`_stream`, and only
+    while the history they keep together fits in the larger of
+    ``LOCKSTEP_BUDGET`` and the history of the largest of those cells run
+    alone, so a sweep never holds more history than one cell of it did.
+    """
+    streams: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        streams.setdefault(_stream(cfg), []).append(i)
+    groups = []
+    for cells in streams.values():
+        cap = max([LOCKSTEP_BUDGET] + [_kept_bytes([cfgs[i]]) for i in cells])
+        group: list[int] = []
+        for i in cells:
+            if group and _kept_bytes([cfgs[j] for j in group + [i]]) > cap:
+                groups.append(group)
+                group = []
+            group.append(i)
+        groups.append(group)
+    return groups
+
+
+def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
+    """Each cell's traces, the ones :func:`run_experiment` gives it.
+
+    The cells of one :func:`_arm_groups` entry run as the arms of one
+    lockstep loop in groups of the smallest of their :func:`_group_rows`,
+    so each chunk of seeds and directions is drawn once for all of them.
+    """
+    traces: list[list[Trace]] = [[] for _ in cfgs]
+    for cells in _arm_groups(cfgs):
+        group = [cfgs[i] for i in cells]
+        for seeds in _seed_groups(group[0], _group_rows(group)):
+            arms = [Arm(c.objective, c.estimator_kind, c.estimator, c.optimizer,
+                        _starts(c, seeds)) for c in group]
+            for i, arm_traces in zip(cells, run_arms(arms, group[0].iterations, seeds)):
+                traces[i] += arm_traces
     return traces
 
 

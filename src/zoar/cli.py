@@ -174,13 +174,12 @@ def _seed_override() -> int | None:
         raise ConfigError(f"ZOAR_SEED must be an integer, got {raw!r}") from None
 
 
-def _execute_run(cfg: bench.RunConfig, out_dir: Path,
-                 ref: bench.Aggregate | None) -> tuple[int, list, bench.Aggregate | None]:
-    """Run, write the outputs, and return (exit code, traces, aggregate);
-    the aggregate is None when every repeat diverged.  ``ref`` is the
+def _write_run(cfg: bench.RunConfig, traces: list, out_dir: Path,
+               ref: bench.Aggregate | None) -> tuple[int, bench.Aggregate | None]:
+    """Write a run's outputs and return (exit code, aggregate); the
+    aggregate is None when every repeat diverged.  ``ref`` is the
     reference aggregate the summary's speedup is measured against."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = bench.run_experiment(cfg)
     for i, trace in enumerate(traces):
         bench.write_trace_csv(trace, out_dir / f"trace_r{i}.csv")
     try:
@@ -190,7 +189,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path,
                    "fingerprint": cfg.fingerprint()}
         (out_dir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return 3, traces, None
+        return 3, None
     bench.write_aggregate_csv(agg, out_dir / "aggregate.csv")
     done = next(t for t in traces if t.completed)
     summary = {
@@ -210,7 +209,7 @@ def _execute_run(cfg: bench.RunConfig, out_dir: Path,
             summary["speedup_vs_reference"] = "unreachable"
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0, traces, agg
+    return 0, agg
 
 
 def cmd_run(args) -> int:
@@ -227,7 +226,9 @@ def cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: reference aggregate {args.reference}: {exc}", file=sys.stderr)
             return 2
-    return _execute_run(cfg, Path(args.out), ref)[0]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before the run
+    return _write_run(cfg, bench.run_experiment(cfg), out_dir, ref)[0]
 
 
 def cmd_verify(args) -> int:
@@ -282,9 +283,8 @@ def cmd_sweep(args) -> int:
         return 2
 
     results = {}
-    for name, cfg in cells:
-        _, traces, agg = _execute_run(cfg, out_dir / name, None)
-        results[name] = (agg, traces)
+    for (name, cfg), traces in zip(cells, bench.run_sweep([cfg for _, cfg in cells])):
+        results[name] = (_write_run(cfg, traces, out_dir / name, None)[1], traces)
 
     ref_agg, ref_traces = results[reference]
     if ref_agg is None:

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import estimators, objectives, sampling
 from .estimators import EstimatorConfig, HistoryBuffer
+from .sampling import DistTag
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -125,59 +126,97 @@ class Trace:
         return range(self.f_clean.size)
 
 
+@dataclass(frozen=True, eq=False)
+class Arm:
+    """One estimator configuration of a lockstep loop with its R runs'
+    (R, d) starts ``theta0``; every arm of a loop draws the same seeds."""
+
+    obj: objectives.ObjectiveSpec
+    kind: EstimatorKind
+    est_cfg: EstimatorConfig
+    opt_cfg: OptimizerConfig
+    theta0: np.ndarray
+
+    @property
+    def queries_per_iter(self) -> int:
+        # the difference estimators query k points and the centre; the reuse
+        # estimator reads the ring, so it needs no centre
+        return self.est_cfg.k if self.kind is EstimatorKind.ZOAR else self.est_cfg.k + 1
+
+
 @dataclass
 class LoopState:
-    """A lockstep group mid-loop; row i of each array is run ``live[i]``'s:
-    stream ``roots`` (2, R), ``theta``, ``m``, ``v`` (R, d), the ZOHS window
-    ``grads`` (R, n, d) of the latest gradients, oldest first (shorter for
-    the first n-1 steps, (R, 0, d) for other kinds), the ZoAR ``ring``, and
-    the drawn chunk ``dirs`` (R, C, k, d) and ``noise_seeds`` (R, C) of
-    iterations ``first`` to ``first + C - 1``."""
+    """One arm mid-loop; row i of each row array is run ``live[i]``'s:
+    ``theta``, ``m``, ``v`` (R, d), the ZOHS window ``grads`` (R, n, d) of
+    the latest gradients, oldest first (shorter for the first n-1 steps,
+    (R, 0, d) for other kinds), and the ZoAR ``ring``.  The log is indexed
+    by run: ``f_clean`` (R, T+1), the shared ``wall_ms`` (T+1,) column and
+    ``ends``, the entries each run logs."""
 
     live: np.ndarray
-    roots: np.ndarray
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     grads: np.ndarray
     ring: HistoryBuffer | None
-    dirs: np.ndarray
-    noise_seeds: np.ndarray
-    first: int = 1
+    f_clean: np.ndarray
+    wall_ms: np.ndarray
+    ends: np.ndarray
 
     def keep(self, ok: np.ndarray) -> None:
         """Drop the rows whose ``ok`` entry is False."""
         if ok.all():
             return
-        self.live, self.roots, self.theta = self.live[ok], self.roots[:, ok], self.theta[ok]
+        self.live, self.theta = self.live[ok], self.theta[ok]
         self.m, self.v, self.grads = self.m[ok], self.v[ok], self.grads[ok]
-        self.dirs, self.noise_seeds = self.dirs[ok], self.noise_seeds[ok]
         if self.ring is not None:
             self.ring.keep(ok)
 
 
-def _step(s: LoopState, t: int, obj: objectives.ObjectiveSpec, kind: EstimatorKind,
-          est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig, iterations: int) -> None:
-    """Move every row of ``s`` through iteration t: draw the next chunk of
-    seeds and directions when it is due, estimate, update."""
-    if t == s.first + s.dirs.shape[1]:
-        s.dirs = s.noise_seeds = None  # release the old chunk before drawing the next
-        size = min(iterations + 1 - t,
-                   max(1, CHUNK_ELEMENTS // (s.live.size * est_cfg.k * obj.dim)))
-        dir_seeds, s.noise_seeds = sampling.iteration_seeds(s.roots, range(t, t + size),
-                                                            est_cfg.k)
-        s.dirs, s.first = estimators.directions(dir_seeds, est_cfg.tag, obj.dim), t
-    dirs, noise = s.dirs[:, t - s.first], s.noise_seeds[:, t - s.first]
-    if kind is EstimatorKind.ZOAR:
-        s.ring.push_block(dirs, estimators.query_block(obj, s.theta, est_cfg, dirs, noise))
+@dataclass
+class Chunk:
+    """Seeds and directions drawn for the runs ``rows`` (sorted): ``dirs``
+    (R, C, k, d) and ``noise_seeds`` (R, C) of iterations ``first`` to
+    ``first + C - 1``."""
+
+    rows: np.ndarray
+    dirs: np.ndarray
+    noise_seeds: np.ndarray
+    first: int = 1
+
+    def read(self, live: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Iteration t's (R, k, d) directions and (R,) noise seeds of the
+        runs ``live``, a subset of ``rows``; views while no row has left."""
+        c = t - self.first
+        if live.size == self.rows.size:
+            return self.dirs[:, c], self.noise_seeds[:, c]
+        at = np.searchsorted(self.rows, live)
+        return self.dirs[at, c], self.noise_seeds[at, c]
+
+
+def _draw(roots: np.ndarray, rows: np.ndarray, t: int, iterations: int, k: int,
+          tag: DistTag, d: int) -> Chunk:
+    """The chunk of runs ``rows`` from iteration t: as many iterations as
+    fit ``CHUNK_ELEMENTS`` direction entries, at least one."""
+    size = min(iterations + 1 - t, max(1, CHUNK_ELEMENTS // (rows.size * k * d)))
+    dir_seeds, noise_seeds = sampling.iteration_seeds(roots[:, rows], range(t, t + size), k)
+    return Chunk(rows, estimators.directions(dir_seeds, tag, d), noise_seeds, t)
+
+
+def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, noise: np.ndarray) -> None:
+    """Move every row of ``s`` through iteration t with its (R, k, d)
+    ``dirs`` and (R,) ``noise`` seeds: estimate, update."""
+    est_cfg, opt_cfg = arm.est_cfg, arm.opt_cfg
+    if arm.kind is EstimatorKind.ZOAR:
+        s.ring.push_block(dirs, estimators.query_block(arm.obj, s.theta, est_cfg, dirs, noise))
         # k = 1 warm-up: a single query pins the baseline to its own value,
         # so the estimate is identically zero
         grad = (estimators.zoar_estimate(s.ring, est_cfg.mu) if len(s.ring) >= 2
                 else np.zeros_like(s.theta))
     else:
         # vanilla and the score-function twin share one kernel
-        grad = estimators.difference_estimate(obj, s.theta, est_cfg, dirs, noise)
-        if kind is EstimatorKind.ZOHS:
+        grad = estimators.difference_estimate(arm.obj, s.theta, est_cfg, dirs, noise)
+        if arm.kind is EstimatorKind.ZOHS:
             full = s.grads.shape[1] == est_cfg.n  # then the oldest drops out
             s.grads = np.concatenate((s.grads[:, int(full):], grad[:, None]), axis=1)
             grad = estimators.zohs_estimate(s.grads)
@@ -189,68 +228,106 @@ def _step(s: LoopState, t: int, obj: objectives.ObjectiveSpec, kind: EstimatorKi
         s.theta, s.m, s.v = radazo_step(s.theta, s.m, s.v, grad, opt_cfg)
 
 
+def _start(arm: Arm, R: int, iterations: int) -> LoopState:
+    """The arm's state at iteration 0, its start logged; a start past the
+    divergence limit is diverged at iteration 1."""
+    theta, d = np.array(arm.theta0, dtype=np.float64), arm.obj.dim
+    ring = (HistoryBuffer(arm.est_cfg.k, arm.est_cfg.n, arm.est_cfg.tag, d, rows=R)
+            if arm.kind is EstimatorKind.ZOAR else None)
+    s = LoopState(np.arange(R), theta, np.zeros((R, d)), np.zeros((R, d)),
+                  np.empty((R, 0, d)), ring, np.empty((R, iterations + 1)),
+                  np.zeros(iterations + 1), np.full(R, iterations + 1))
+    s.f_clean[:, 0] = objectives.clean_value(arm.obj, theta)
+    ok = np.abs(s.f_clean[:, 0]) <= DIVERGENCE_LIMIT
+    s.ends[~ok] = 1
+    s.keep(ok)
+    return s
+
+
+def _check(s: LoopState, obj: objectives.ObjectiveSpec, t: int) -> None:
+    """Log iteration t's clean values and stop the rows whose parameters
+    went non-finite or whose value passed the divergence limit."""
+    ok = np.all(np.isfinite(s.theta), axis=1)
+    f = np.full(s.live.size, np.inf)
+    f[ok] = objectives.clean_value(obj, s.theta[ok])
+    ok &= np.abs(f) <= DIVERGENCE_LIMIT
+    s.f_clean[s.live, t] = f
+    s.ends[s.live[~ok]] = t
+    s.keep(ok)
+
+
+def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
+    """Run the loop (sample, query, estimate, update, log) of every arm
+    for R ``seeds`` in lockstep; returns each arm's R traces.
+
+    Run r of every arm draws the directions and noise seeds of seed r, so
+    the arms must agree on k, the direction law and the dimension.  They
+    are drawn a chunk of iterations at a time (at most ``CHUNK_ELEMENTS``
+    direction entries, at least one iteration) for the runs that some arm
+    still runs, once for all arms; each arm evaluates its own queries.
+    Each :func:`_step` moves an arm's live runs one iteration, and each
+    run gets the trace it would get alone.  An arm's ``wall_ms`` is its
+    step's time plus an equal share of that step's draw among the arms
+    still running, divided by its rows still running.  A run whose
+    parameters go non-finite or whose clean value exceeds the divergence
+    limit stops with that iteration recorded, and the others carry on; a
+    start that fails this test is diverged at iteration 1 and is never
+    queried.  Overflow inside the loop is expected there, so it is not
+    reported.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    R = seeds.size
+    k, tag, d = arms[0].est_cfg.k, arms[0].est_cfg.tag, arms[0].obj.dim
+    for arm in arms:
+        shape = np.shape(arm.theta0)
+        if seeds.ndim != 1 or shape != (R, d):
+            raise ValueError(f"expected a sequence of run seeds and initial points of shape "
+                             f"{(R, d)}, got seeds of shape {seeds.shape} and {shape}")
+        if (arm.est_cfg.k, arm.est_cfg.tag, arm.obj.dim) != (k, tag, d):
+            raise ValueError("the arms of one loop must share k, the direction law "
+                             "and the dimension")
+        if not np.all(np.isfinite(arm.theta0)):
+            raise ValueError("initial point contains non-finite entries")
+        if arm.kind is EstimatorKind.ZOAR:
+            arm.est_cfg.require_reusable()
+        elif arm.kind is EstimatorKind.REINFORCE_GS:
+            arm.est_cfg.require_gaussian()
+
+    roots = sampling.stream_roots(seeds)
+    with np.errstate(over="ignore"):
+        states = [_start(arm, R, iterations) for arm in arms]
+        chunk = Chunk(np.arange(0), np.empty((0, 0, k, d)), np.empty((0, 0), np.uint64))
+        for t in range(1, iterations + 1):
+            running = [(arm, s) for arm, s in zip(arms, states) if s.live.size]
+            if not running:
+                break
+            tic = time.perf_counter()
+            if t == chunk.first + chunk.dirs.shape[1]:
+                # a mask, not np.unique, whose first call alone adds about
+                # 1 MiB to the process's resident memory
+                drawn = np.zeros(R, dtype=bool)
+                for _, s in running:
+                    drawn[s.live] = True
+                chunk = None  # release the old chunk before drawing the next
+                chunk = _draw(roots, np.flatnonzero(drawn), t, iterations, k, tag, d)
+            share = (time.perf_counter() - tic) / len(running)
+            for arm, s in running:
+                tic = time.perf_counter()
+                _step(s, arm, t, *chunk.read(s.live, t))
+                s.wall_ms[t] = (time.perf_counter() - tic + share) * 1000.0 / s.live.size
+                _check(s, arm.obj, t)
+
+    return [[Trace(s.f_clean[r, :end], s.wall_ms[:end], arm.queries_per_iter,
+                   None if end == iterations + 1 else end)
+             for r, end in enumerate(s.ends.tolist())]
+            for arm, s in zip(arms, states)]
+
+
 def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
                      est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig,
                      iterations: int, seeds, theta0) -> list[Trace]:
-    """Run the loop (sample, query, estimate, update, log) for R ``seeds``
-    from their (R, d) ``theta0`` in lockstep; returns the R traces.
-
-    Each :func:`_step` of the group's :class:`LoopState` moves every live
-    run one iteration, and each run gets the trace it would get alone
-    (``wall_ms`` is the step's time divided by the rows still running).
-    Seeds and directions are drawn a chunk of iterations at a time (at
-    most ``CHUNK_ELEMENTS`` direction entries, at least one iteration),
-    and the step that draws one carries its kernel time.  Clean values
-    go into one (R, T+1) array and ``wall_ms`` into one shared column;
-    each trace is cut from them at the end.  A run whose parameters go
-    non-finite or whose clean value exceeds the divergence limit stops
-    with that iteration recorded, and the others carry on; a start that
-    fails this test is diverged at iteration 1 and is never queried.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    theta = np.array(theta0, dtype=np.float64)
-    R, d = seeds.size, obj.dim
-    if seeds.ndim != 1 or theta.shape != (R, d):
-        raise ValueError(f"expected a sequence of run seeds and initial points of shape "
-                         f"{(R, d)}, got seeds of shape {seeds.shape} and {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("initial point contains non-finite entries")
-    if estimator_kind is EstimatorKind.ZOAR:
-        est_cfg.require_reusable()
-    elif estimator_kind is EstimatorKind.REINFORCE_GS:
-        est_cfg.require_gaussian()
-
-    # evaluations per iteration: the difference estimators query k points and
-    # the centre; the reuse estimator reads the ring, so it needs no centre
-    queries = est_cfg.k if estimator_kind is EstimatorKind.ZOAR else est_cfg.k + 1
-
-    ring = (HistoryBuffer(est_cfg.k, est_cfg.n, est_cfg.tag, d, rows=R)
-            if estimator_kind is EstimatorKind.ZOAR else None)
-    state = LoopState(np.arange(R), sampling.stream_roots(seeds), theta, np.zeros((R, d)),
-                      np.zeros((R, d)), np.empty((R, 0, d)), ring,
-                      np.empty((R, 0, est_cfg.k, d)), np.empty((R, 0), np.uint64))
-    f_clean = np.empty((R, iterations + 1))
-    f_clean[:, 0] = objectives.clean_value(obj, theta)
-    wall_ms = np.zeros(iterations + 1)
-    ends = np.full(R, iterations + 1)  # entries each run logs
-    ok = np.abs(f_clean[:, 0]) <= DIVERGENCE_LIMIT
-    ends[~ok] = 1
-    state.keep(ok)
-
-    for t in range(1, iterations + 1):
-        if state.live.size == 0:
-            break
-        tic = time.perf_counter()
-        _step(state, t, obj, estimator_kind, est_cfg, opt_cfg, iterations)
-        wall_ms[t] = (time.perf_counter() - tic) * 1000.0 / state.live.size
-        ok = np.all(np.isfinite(state.theta), axis=1)
-        f = np.full(state.live.size, np.inf)
-        f[ok] = objectives.clean_value(obj, state.theta[ok])
-        ok &= np.abs(f) <= DIVERGENCE_LIMIT
-        f_clean[state.live, t] = f
-        ends[state.live[~ok]] = t
-        state.keep(ok)
-
-    return [Trace(f_clean[r, :end], wall_ms[:end], queries,
-                  None if end == iterations + 1 else end)
-            for r, end in enumerate(ends.tolist())]
+    """Run one estimator for R ``seeds`` from their (R, d) ``theta0`` in
+    lockstep: the one-arm case of :func:`run_arms`; returns the R traces."""
+    [traces] = run_arms([Arm(obj, estimator_kind, est_cfg, opt_cfg, theta0)],
+                        iterations, seeds)
+    return traces

@@ -127,6 +127,36 @@ def test_wide_repeats_keep_one_ring_live_at_a_time():
     assert peak(2) < one + ring
 
 
+def test_sweep_keeps_no_more_history_than_its_largest_cell():
+    # two zoar rings (4.8 and 4.0 MB) exceed the larger alone, so those
+    # cells run apart; the vanilla cell keeps none and rides with one, and
+    # the sweep peaks below a zoar cell's peak plus the ring it leaves out
+    k, dim = 10, 10_000
+
+    def cfg(kind, n):
+        return RunConfig(
+            objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, dim), estimator_kind=kind,
+            estimator=EstimatorConfig(mu=0.05, k=k, n=n, tag=DistTag.GAUSSIAN),
+            optimizer=OptimizerConfig(eta=0.001), iterations=7, repeats=2, master_seed=3)
+
+    def peak(cfgs):
+        tracemalloc.start()
+        try:
+            traces = bench.run_sweep(cfgs)
+            high = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.completed for cell in traces for t in cell)
+        return high
+
+    grid = [cfg(EstimatorKind.ZOAR, 6), cfg(EstimatorKind.ZOAR, 5),
+            cfg(EstimatorKind.VANILLA, 6)]
+    assert bench._arm_groups(grid) == [[0], [1, 2]]
+    peak(grid[:1])  # allocations made once per process
+    one = peak(grid[:1])
+    assert peak(grid) < one + 5 * k * dim * 8
+
+
 def _fake_trace(gaps):
     return Trace(np.array(gaps), np.zeros(len(gaps)), 1)
 

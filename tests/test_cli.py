@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from zoar import bench, cli, verify
+from zoar import _kernels as kernels
+from zoar import bench, cli, objectives, verify
 from zoar.optimizers import Trace
 
 MINIMAL = """
@@ -92,11 +94,11 @@ repeats = 2
     assert summary["status"] == "all_diverged"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["vanilla", "zoar"])
-def test_start_past_divergence_limit_is_exit_3(tmp_path, kind):
+def test_start_past_divergence_limit_is_exit_3(tmp_path, capfd, kind):
     # zoar used to die in the history ring on the start's non-finite
-    # query values; both kinds now stop each repeat at iteration 1
+    # query values; both kinds now stop each repeat at iteration 1, and
+    # the start's overflow is expected, so nothing reaches stderr
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"""
 [objective]
@@ -115,7 +117,10 @@ theta0_mode = fixed
 theta0_value = 1e100
 """)
     out = tmp_path / "out"
-    assert run_cli("run", str(cfg), "--out", str(out)) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", str(cfg), "--out", str(out)) == 3
+    assert capfd.readouterr().err == ""
     assert json.loads((out / "summary.json").read_text())["status"] == "all_diverged"
     for r in range(2):  # the start row alone
         assert bench.read_trace_csv(out / f"trace_r{r}.csv").f_clean.tolist() == [np.inf]
@@ -322,6 +327,95 @@ def test_sweep_single_cell_matches_run(tmp_path):
             == (run_out / "aggregate.csv").read_bytes())
 
 
+GRID = """
+[objective]
+kind = rosenbrock
+dim = 4
+noise_sigma = {sigma}
+
+[estimator]
+kind = {kind}
+k = {k}
+n = {n}
+
+[optimizer]
+rule = {rule}
+eta = 0.001
+beta2 = 0.9
+
+[run]
+iterations = 40
+repeats = 6
+master_seed = 7
+theta0_lo = -2.5
+theta0_hi = 2.5
+"""
+
+
+def _strip_wall(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_sweep_cells_match_their_runs_alone(tmp_path):
+    # the cells of one k share their directions; under sgd some repeats
+    # diverge and leave their arm while the other arms run those rows on
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(GRID.format(sigma=0.1, kind="[vanilla, zohs, zoar]", k="[3, 4]",
+                               n="[1, 6]", rule="[radazo, sgd]"))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+    cells = sorted(p for p in out.iterdir() if p.is_dir())
+    assert len(cells) == 24
+    statuses = set()
+    for cell in cells:
+        values = dict(part.split("=") for part in cell.name.split("__"))
+        alone_cfg = tmp_path / f"{cell.name}.cfg"
+        alone_cfg.write_text(GRID.format(sigma=0.1, **{key.split(".")[1]: value
+                                                       for key, value in values.items()}))
+        alone = tmp_path / "alone" / cell.name
+        run_cli("run", str(alone_cfg), "--out", str(alone))
+        assert sorted(p.name for p in cell.iterdir()) == sorted(p.name for p in alone.iterdir())
+        for path in cell.iterdir():
+            if path.name.startswith("trace_"):
+                assert _strip_wall(path) == _strip_wall(alone / path.name), path
+            else:
+                assert path.read_bytes() == (alone / path.name).read_bytes(), path
+        summary = json.loads((cell / "summary.json").read_text())
+        statuses.add((summary["status"], summary.get("diverged", 0) > 0))
+    assert ("ok", False) in statuses and ("ok", True) in statuses
+
+
+def test_sweep_draws_directions_once_and_evaluates_every_query(tmp_path, monkeypatch):
+    # the six cells share one seed stream, so the kernel builds one cell's
+    # directions (noise is off); every query is still evaluated by its own
+    # cell: the points evaluated equal the traces' final queries_cum.  No
+    # repeat diverges, since a diverging step is queried but not logged
+    normals, points = [], []
+    materialize_block, evaluate = kernels.materialize_block, objectives.eval
+
+    def counting_block(seeds, tag, dim):
+        normals.append(len(seeds) * dim)
+        return materialize_block(seeds, tag, dim)
+
+    def counting_eval(spec, theta, noise_seed=0):
+        points.append(int(np.prod(np.shape(theta)[:-1])))
+        return evaluate(spec, theta, noise_seed)
+
+    monkeypatch.setattr(kernels, "materialize_block", counting_block)
+    monkeypatch.setattr(objectives, "eval", counting_eval)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(GRID.format(sigma=0, kind="[vanilla, zohs, zoar]", k=3, n="[1, 6]",
+                               rule="radazo"))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+    traces = sorted(out.glob("*/trace_r*.csv"))
+    assert len(traces) == 6 * 6
+    final_queries = [int(path.read_text().splitlines()[-1].split(",")[1]) for path in traces]
+    assert sum(points) == sum(final_queries)
+    assert (final_queries.count(40 * 3), final_queries.count(40 * 4)) == (12, 24)
+    assert sum(normals) == 6 * 40 * 3 * 4
+
+
 def _trace(gaps, queries_per_iter, status="completed"):
     return Trace(np.array(gaps), np.zeros(len(gaps)), queries_per_iter,
                  diverged_at=len(gaps) if status == "diverged" else None)
@@ -338,7 +432,8 @@ def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
         return [_trace([4.0, 1.0, 1.0, 1.0], 5),
                 _trace([4.0, 1.0, 1.0], 100, status="diverged")]
 
-    monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(bench, "run_sweep",
+                        lambda cfgs: [fake_run_experiment(cfg) for cfg in cfgs])
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[estimator]\nn = [1, 2]\n\n[run]\nrepeats = 2\n")
     out = tmp_path / "sweep"

@@ -408,3 +408,25 @@ def test_gap_decreases_on_quadratic_sgd():
     theta0 = kernels.uniform_doubles(5, 20) * 2 - 1
     [trace] = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 400, [9], theta0[None])
     assert trace.f_clean[-1] < trace.f_clean[0]
+
+
+def test_chunk_rows_are_views_until_a_row_leaves():
+    rows = np.arange(4)
+    dirs = np.arange(4 * 2 * 3 * 5, dtype=np.float64).reshape(4, 2, 3, 5)
+    noise = np.arange(8, dtype=np.uint64).reshape(4, 2)
+    chunk = optimizers.Chunk(rows, dirs, noise, first=6)
+    all_dirs, all_noise = chunk.read(rows, 7)
+    assert np.shares_memory(all_dirs, dirs) and np.shares_memory(all_noise, noise)
+    assert np.array_equal(all_dirs, dirs[:, 1]) and np.array_equal(all_noise, noise[:, 1])
+    some_dirs, some_noise = chunk.read(np.array([0, 3]), 6)
+    assert np.array_equal(some_dirs, dirs[[0, 3], 0])
+    assert np.array_equal(some_noise, noise[[0, 3], 0])
+
+
+def test_arms_of_one_loop_must_share_the_direction_stream():
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
+    cfg, theta0 = OptimizerConfig(), np.zeros((2, 3))
+    arms = [optimizers.Arm(spec, EstimatorKind.VANILLA, EstimatorConfig(mu=0.05, k=k),
+                           cfg, theta0) for k in (2, 3)]
+    with pytest.raises(ValueError, match="must share k"):
+        optimizers.run_arms(arms, 2, [1, 2])
