@@ -18,15 +18,29 @@ identity) and coordinate directions follow the plain averaged form.
 A query's direction depends on its seed alone, never on the parameters,
 so directions are materialised apart from their evaluation: callers draw
 the directions of many iterations (the optimisation loop) or trials (the
-verifier) with one :func:`directions` call, and every estimator then
-turns an iteration's (..., k, d) block of them into points, values and
-observation noise through :func:`query_block`.  The difference
-estimators evaluate the centre in the same call as its k points.  The
+verifier) with one :func:`directions` call.  :func:`write_points` is the
+one path from an iteration's (..., k, d) block of them to its points
+theta + mu*u_j (and the centre): into a buffer of the caller's, which
+the loop shares among the arms that it evaluates in one call, or into
+one of :func:`query_block`, which also evaluates them.  The difference
+estimators evaluate the centre in the same call as its k points, and
+:func:`difference_gradient` turns the values into the gradient.  The
 history-reuse estimator keeps the n*k most recent queries in a
 :class:`HistoryBuffer`, the materialised directions and their observed
 values, so forming the estimate materialises nothing: each direction is
-built once.  Every estimate reduces its directions through one j-ordered
-sum, the operation sequence of ``_kernels.weighted_direction_sum``.
+built once.
+
+Every estimate reduces its directions through one j-ordered sum, the
+operation sequence of ``_kernels.weighted_direction_sum``: each entry is
+0.0 + c_0 u_0 + c_1 u_1 + ..., added left to right.  The sum has two
+forms with the same bits.  While the products hold at most
+``SUM_ELEMENTS`` (2**16) entries, all c_j u_j go into one buffer (a
+ring's at most two slot ranges, oldest first, written straight from the
+ring) and one ``np.add.reduce`` over the term axis adds them, which NumPy
+does term after term for every entry; above that, and for one-entry
+terms, which NumPy would add pairwise, a loop adds one term at a time.
+A desk step (d = 100, 5 runs, a ring of 60) takes the single pass; a
+d = 10**4 ring takes the loop, whose (d,) temporaries stay in cache.
 
 The array-level functions (:func:`query_block`, :func:`difference_estimate`,
 :func:`zoar_estimate`, :func:`zohs_estimate` and the ring) take any
@@ -86,15 +100,15 @@ class HistoryBuffer:
 
     All queries are drawn from one direction law ``tag``.  ``values``
     (n*k,) holds their observed values, a view that the next
-    ``push_block`` overwrites; ``rows()`` gives the matching directions as
-    one (dim,) view per query.  ``push_block`` appends exactly one
+    ``push_block`` overwrites; ``spans()`` gives the matching directions
+    as at most two (count, dim) views.  ``push_block`` appends exactly one
     iteration's block of k queries and drops the oldest block once the
     ring holds n*k rows.  The new directions go into the oldest block's
     slot, so a stored direction never moves; only the values, k per
     block, shift.
 
     With ``rows=R`` the ring serves R runs in lockstep: each view of
-    ``rows()`` is (R, dim), ``values`` (R, n*k), and every block carries
+    ``spans()`` is (count, R, dim), ``values`` (R, n*k), and every block carries
     one row per run.  Directions are stored query-major, so the query-j
     slice of all R runs is one contiguous (R, dim) array.
     """
@@ -116,15 +130,14 @@ class HistoryBuffer:
     def __len__(self) -> int:
         return self._filled
 
-    def _order(self) -> np.ndarray:
-        """Ring rows of the stored queries, oldest first."""
-        k, blocks = self.block_size, self._filled // self.block_size
-        slots = (self._next - blocks + np.arange(blocks)) % self.depth
-        return (slots[:, None] * k + np.arange(k)).reshape(-1)
-
-    def rows(self) -> list[np.ndarray]:
-        """The stored directions oldest first, one (..., dim) view per query."""
-        return [self._dirs[i] for i in self._order().tolist()]
+    def spans(self) -> list[np.ndarray]:
+        """The stored directions oldest first, as at most two contiguous
+        (count, ..., dim) views of the ring: the oldest block's slot to the
+        end, then the start up to it."""
+        lo = self._next * self.block_size
+        if self._filled < self._dirs.shape[0]:
+            return [self._dirs[:lo]]  # not yet wrapped: slots fill from 0
+        return [span for span in (self._dirs[lo:], self._dirs[:lo]) if len(span)]
 
     @property
     def values(self) -> np.ndarray:
@@ -153,6 +166,15 @@ class HistoryBuffer:
         self._lead = (self._values.shape[0],)
 
 
+# product entries (terms x ... x d) up to which _weighted_sum forms a
+# block's products in one buffer and adds them with one call; above it,
+# the j-loop.  Timed per reduction (2-vCPU Xeon VM, best of 5 x 200): a
+# (5, 100) lockstep ring of 60 terms 229 us in the loop, 68 us in one
+# pass; a (1, 10**4) ring of 60 terms 715 us in the loop, 782 us in one
+# pass, whose 4.8 MB buffer no longer fits in cache.
+SUM_ELEMENTS = 1 << 16
+
+
 def direction_scale(tag: DistTag, dim: int) -> float:
     """Estimator prefactor for the direction law (see module docstring)."""
     return float(dim) if tag is DistTag.SPHERE else 1.0
@@ -162,6 +184,22 @@ def directions(dir_seeds: np.ndarray, tag: DistTag, dim: int) -> np.ndarray:
     """The (..., dim) directions of an array of seeds, from one kernel call."""
     dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(tag), dim)
     return dirs.reshape(dir_seeds.shape + (dim,))
+
+
+def write_points(out: np.ndarray, theta: np.ndarray, mu: float, dirs: np.ndarray,
+                 centre: bool = False) -> None:
+    """Write one iteration's k query points theta + mu*u_j into ``out``.
+
+    ``theta`` is (..., d), ``dirs`` (..., k, d) and ``out`` (..., k, d),
+    a caller's buffer or a slice of one.  With ``centre`` ``out`` is
+    (..., k+1, d) and the centre theta goes in as point k.
+    """
+    k = dirs.shape[-2]
+    perturbed = out[..., :k, :]
+    np.multiply(dirs, mu, out=perturbed)
+    perturbed += theta[..., None, :]
+    if centre:
+        out[..., k, :] = theta
 
 
 def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
@@ -178,41 +216,56 @@ def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
     k, d = dirs.shape[-2:]
     lead = np.broadcast_shapes(theta.shape[:-1], dirs.shape[:-2])
     points = np.empty(lead + (k + int(centre), d))
-    perturbed = points[..., :k, :]
-    np.multiply(dirs, cfg.mu, out=perturbed)
-    perturbed += theta[..., None, :]
-    if centre:
-        points[..., k, :] = theta
+    write_points(points, theta, cfg.mu, dirs, centre)
     return obj.eval(points, noise_seeds)
 
 
-def _weighted_sum(coeffs: np.ndarray, rows) -> np.ndarray:
-    """sum_j coeffs[..., j] * rows[j], accumulated in j order; ``rows`` is
-    a sequence of (..., d) directions."""
-    grad = np.zeros(coeffs.shape[:-1] + rows[0].shape[-1:])
-    for j, u in enumerate(rows):
-        grad += coeffs[..., j, None] * u
+def _weighted_sum(coeffs: np.ndarray, spans) -> np.ndarray:
+    """sum_j coeffs[..., j] * u_j, accumulated in j order from 0.0, over
+    the rows u_j of ``spans``, a sequence of (count, ..., d) arrays taken
+    one after another, with the leading axes of ``coeffs`` (..., m); in
+    one pass or term by term (module docstring)."""
+    c = coeffs.transpose((-1,) + tuple(range(coeffs.ndim - 1)))[..., None]  # (m, ..., 1)
+    shape = spans[0].shape[1:]
+    size = math.prod(shape)
+    # NumPy reduces a lone column pairwise, so one-entry terms take the loop
+    if 1 < size and c.shape[0] * size <= SUM_ELEMENTS:
+        terms = np.empty(c.shape[:1] + shape)
+        lo = 0
+        for span in spans:
+            hi = lo + span.shape[0]
+            np.multiply(c[lo:hi], span, out=terms[lo:hi])
+            lo = hi
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    grad = np.zeros(shape)
+    for cj, u in zip(c, (u for span in spans for u in span)):
+        grad += cj * u
+    return grad
+
+
+def difference_gradient(values: np.ndarray, dirs: np.ndarray, cfg: EstimatorConfig,
+                        gamma: float | None = None) -> np.ndarray:
+    """The (..., d) difference-style gradients from one iteration's
+    (..., k+1) values, the k points of the (..., k, d) ``dirs`` and the
+    centre last.  ``gamma`` multiplies each per-direction coefficient
+    before the reduction, which is how the importance-weighted form enters.
+    """
+    coeffs = (values[..., :-1] - values[..., -1:]) / cfg.mu
+    if gamma is not None:
+        coeffs = gamma * coeffs
+    grad = _weighted_sum(coeffs, [np.moveaxis(dirs, -2, 0)])
+    grad *= direction_scale(cfg.tag, dirs.shape[-1]) / cfg.k
     return grad
 
 
 def difference_estimate(obj, theta: np.ndarray, cfg: EstimatorConfig,
                         dirs: np.ndarray, noise_seeds,
                         gamma: float | None = None) -> np.ndarray:
-    """Shared evaluation path for the difference-style estimators.
-
-    Queries the k perturbed points of the (..., k, d) ``dirs`` and the
+    """Queries the k perturbed points of the (..., k, d) ``dirs`` and the
     centre of each row of ``theta`` (..., d) in one :func:`query_block`
-    call and returns the (..., d) gradients.  ``gamma`` multiplies each
-    per-direction coefficient before the reduction, which is how the
-    importance-weighted form enters.
-    """
+    call and returns the (..., d) :func:`difference_gradient`."""
     values = query_block(obj, theta, cfg, dirs, noise_seeds, centre=True)
-    coeffs = (values[..., :-1] - values[..., -1:]) / cfg.mu
-    if gamma is not None:
-        coeffs = gamma * coeffs
-    grad = _weighted_sum(coeffs, np.moveaxis(dirs, -2, 0))
-    grad *= direction_scale(cfg.tag, theta.shape[-1]) / cfg.k
-    return grad
+    return difference_gradient(values, dirs, cfg, gamma)
 
 
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
@@ -322,7 +375,7 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     values = buffer.values
     baseline = values.mean(axis=-1)
     coeffs = (values - baseline[..., None]) / mu
-    grad = _weighted_sum(coeffs, buffer.rows())
+    grad = _weighted_sum(coeffs, buffer.spans())
     grad *= direction_scale(buffer.tag, buffer.dim) / (m - 1)
     return grad
 

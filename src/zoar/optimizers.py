@@ -1,6 +1,7 @@
 """Parameter update rules and the query-driven optimization loop."""
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -21,6 +22,15 @@ DIVERGENCE_LIMIT = 1e12
 # 2**14 draws 3 iterations at a time and raised the peak RSS 0.6 %;
 # 2**16 (13 iterations) raised it 4.3 % for about 3 % more speed.
 CHUNK_ELEMENTS = 1 << 14
+
+# point entries (points x d) per objective evaluation: each step writes the
+# queries of the running arms that share an objective into one buffer and
+# evaluates them in one call, as many arms as fit and at least one, so
+# small steps share the evaluation's fixed cost (validation, point
+# digests, seed fold and noise draw).  A d=100, k=10, 5-repeat sweep of
+# four arms (21 000 entries) makes one call per step; at d=10**4 one
+# arm's queries exceed it, and each arm is evaluated alone.
+BATCH_ELEMENTS = 2 * CHUNK_ELEMENTS
 
 
 class UpdateRule(enum.Enum):
@@ -203,19 +213,20 @@ def _draw(roots: np.ndarray, rows: np.ndarray, t: int, iterations: int, k: int,
     return Chunk(rows, estimators.directions(dir_seeds, tag, d), noise_seeds, t)
 
 
-def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, noise: np.ndarray) -> None:
+def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, values: np.ndarray) -> None:
     """Move every row of ``s`` through iteration t with its (R, k, d)
-    ``dirs`` and (R,) ``noise`` seeds: estimate, update."""
+    ``dirs`` and the (R, q) observed values of its queries: estimate,
+    update."""
     est_cfg, opt_cfg = arm.est_cfg, arm.opt_cfg
     if arm.kind is EstimatorKind.ZOAR:
-        s.ring.push_block(dirs, estimators.query_block(arm.obj, s.theta, est_cfg, dirs, noise))
+        s.ring.push_block(dirs, values)
         # k = 1 warm-up: a single query pins the baseline to its own value,
         # so the estimate is identically zero
         grad = (estimators.zoar_estimate(s.ring, est_cfg.mu) if len(s.ring) >= 2
                 else np.zeros_like(s.theta))
     else:
         # vanilla and the score-function twin share one kernel
-        grad = estimators.difference_estimate(arm.obj, s.theta, est_cfg, dirs, noise)
+        grad = estimators.difference_gradient(values, dirs, est_cfg)
         if arm.kind is EstimatorKind.ZOHS:
             full = s.grads.shape[1] == est_cfg.n  # then the oldest drops out
             s.grads = np.concatenate((s.grads[:, int(full):], grad[:, None]), axis=1)
@@ -244,16 +255,85 @@ def _start(arm: Arm, R: int, iterations: int) -> LoopState:
     return s
 
 
-def _check(s: LoopState, obj: objectives.ObjectiveSpec, t: int) -> None:
-    """Log iteration t's clean values and stop the rows whose parameters
-    went non-finite or whose value passed the divergence limit."""
-    ok = np.all(np.isfinite(s.theta), axis=1)
-    f = np.full(s.live.size, np.inf)
-    f[ok] = objectives.clean_value(obj, s.theta[ok])
-    ok &= np.abs(f) <= DIVERGENCE_LIMIT
-    s.f_clean[s.live, t] = f
-    s.ends[s.live[~ok]] = t
-    s.keep(ok)
+def _batches(running: list, d: int) -> list[list[int]]:
+    """Indices into ``running`` of the arms evaluated together: arms with
+    equal objectives, in arm order, at most ``BATCH_ELEMENTS`` point
+    entries per batch and at least one arm."""
+    by_obj: dict[objectives.ObjectiveSpec, list[int]] = {}
+    for i, (arm, _) in enumerate(running):
+        by_obj.setdefault(arm.obj, []).append(i)
+    batches = []
+    for arms in by_obj.values():
+        batch, size = [], 0
+        for i in arms:
+            arm, s = running[i]
+            entries = s.live.size * arm.queries_per_iter * d
+            if batch and size + entries > BATCH_ELEMENTS:
+                batches.append(batch)
+                batch, size = [], 0
+            batch.append(i)
+            size += entries
+        batches.append(batch)
+    return batches
+
+
+def _query(batch: list, chunk: Chunk, t: int, d: int) -> list:
+    """Evaluate iteration t's queries of the (arm, state) pairs ``batch``
+    in one ``objectives.eval`` call: each row's k points (and the centre
+    for the difference estimators) go into one buffer with their row's
+    noise seed.  Returns each arm's (R, k, d) directions and (R, q) values;
+    the buffer goes when this returns, before any estimate is formed."""
+    reads = [chunk.read(s.live, t) for _, s in batch]
+    counts = [s.live.size * arm.queries_per_iter for arm, s in batch]
+    points = np.empty((sum(counts), d))
+    seeds = np.empty(sum(counts), dtype=np.uint64)
+    bounds = list(itertools.accumulate(counts, initial=0))
+    for (arm, s), (dirs, noise), lo, hi in zip(batch, reads, bounds, bounds[1:]):
+        q = arm.queries_per_iter
+        estimators.write_points(points[lo:hi].reshape(-1, q, d), s.theta, arm.est_cfg.mu,
+                                dirs, centre=arm.kind is not EstimatorKind.ZOAR)
+        seeds[lo:hi].reshape(-1, q)[:] = noise[:, None]
+    values = objectives.eval(batch[0][0].obj, points, seeds)
+    return [(dirs, values[lo:hi].reshape(-1, arm.queries_per_iter))
+            for (arm, _), (dirs, _), lo, hi in zip(batch, reads, bounds, bounds[1:])]
+
+
+def _check(states: list[LoopState], obj: objectives.ObjectiveSpec, t: int) -> None:
+    """Log iteration t's clean values of ``states``, all on ``obj``, from
+    one ``clean_value`` call, and stop the rows whose parameters went
+    non-finite or whose value passed the divergence limit."""
+    oks = [np.all(np.isfinite(s.theta), axis=1) for s in states]
+    values = objectives.clean_value(obj, np.concatenate([s.theta[ok]
+                                                         for s, ok in zip(states, oks)]))
+    bounds = list(itertools.accumulate((np.count_nonzero(ok) for ok in oks), initial=0))
+    for s, ok, lo, hi in zip(states, oks, bounds, bounds[1:]):
+        f = np.full(s.live.size, np.inf)
+        f[ok] = values[lo:hi]
+        ok &= np.abs(f) <= DIVERGENCE_LIMIT
+        s.f_clean[s.live, t] = f
+        s.ends[s.live[~ok]] = t
+        s.keep(ok)
+
+
+def _advance(running: list, chunk: Chunk, t: int, d: int) -> tuple[list[float], float]:
+    """Move the running (arm, state) pairs through iteration t, a batch
+    at a time: one evaluation, each arm's :func:`_step`, one check.
+    Returns each arm's own time (its step) and the batches' shared time.
+    Nothing here outlives the call, so no view of ``chunk`` or of a batch
+    buffer is kept while the loop draws the next chunk."""
+    own, shared = [0.0] * len(running), 0.0
+    for batch in _batches(running, d):
+        tic = time.perf_counter()
+        queried = _query([running[i] for i in batch], chunk, t, d)
+        shared += time.perf_counter() - tic
+        for i, (dirs, values) in zip(batch, queried):
+            tic = time.perf_counter()
+            _step(running[i][1], running[i][0], t, dirs, values)
+            own[i] = time.perf_counter() - tic
+        tic = time.perf_counter()
+        _check([running[i][1] for i in batch], running[batch[0]][0].obj, t)
+        shared += time.perf_counter() - tic
+    return own, shared
 
 
 def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
@@ -264,16 +344,19 @@ def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
     the arms must agree on k, the direction law and the dimension.  They
     are drawn a chunk of iterations at a time (at most ``CHUNK_ELEMENTS``
     direction entries, at least one iteration) for the runs that some arm
-    still runs, once for all arms; each arm evaluates its own queries.
-    Each :func:`_step` moves an arm's live runs one iteration, and each
-    run gets the trace it would get alone.  An arm's ``wall_ms`` is its
-    step's time plus an equal share of that step's draw among the arms
-    still running, divided by its rows still running.  A run whose
-    parameters go non-finite or whose clean value exceeds the divergence
-    limit stops with that iteration recorded, and the others carry on; a
-    start that fails this test is diverged at iteration 1 and is never
-    queried.  Overflow inside the loop is expected there, so it is not
-    reported.
+    still runs, once for all arms.  Each step evaluates the queries of
+    the arms that share an objective with one ``objectives.eval`` call
+    (at most ``BATCH_ELEMENTS`` point entries, at least one arm), then
+    each :func:`_step` moves an arm's live runs one iteration, and one
+    ``clean_value`` call checks those arms' runs; each run gets the trace
+    it would get alone.  An arm's ``wall_ms`` is its own step's time plus
+    an equal share, among the running arms, of the step's shared work
+    (draw, evaluations, checks), divided by its rows still running.  A run
+    whose parameters go non-finite or whose clean value exceeds the
+    divergence limit stops with that iteration recorded, and the others
+    carry on; a start that fails this test is diverged at iteration 1 and
+    is never queried.  Overflow inside the loop is expected there, so it
+    is not reported.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     R = seeds.size
@@ -310,12 +393,12 @@ def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
                     drawn[s.live] = True
                 chunk = None  # release the old chunk before drawing the next
                 chunk = _draw(roots, np.flatnonzero(drawn), t, iterations, k, tag, d)
-            share = (time.perf_counter() - tic) / len(running)
-            for arm, s in running:
-                tic = time.perf_counter()
-                _step(s, arm, t, *chunk.read(s.live, t))
-                s.wall_ms[t] = (time.perf_counter() - tic + share) * 1000.0 / s.live.size
-                _check(s, arm.obj, t)
+            drawing = time.perf_counter() - tic
+            rows = [s.live.size for _, s in running]
+            own, shared = _advance(running, chunk, t, d)
+            share = (drawing + shared) / len(running)
+            for (_, s), n, spent in zip(running, rows, own):
+                s.wall_ms[t] = (spent + share) * 1000.0 / n
 
     return [[Trace(s.f_clean[r, :end], s.wall_ms[:end], arm.queries_per_iter,
                    None if end == iterations + 1 else end)

@@ -1,3 +1,4 @@
+import collections
 import json
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from zoar import _kernels as kernels
-from zoar import bench, cli, objectives, verify
+from zoar import bench, cli, objectives, sampling, verify
 from zoar.optimizers import Trace
 
 MINIMAL = """
@@ -331,7 +332,7 @@ GRID = """
 [objective]
 kind = rosenbrock
 dim = 4
-noise_sigma = {sigma}
+noise_sigma = {noise_sigma}
 
 [estimator]
 kind = {kind}
@@ -358,20 +359,21 @@ def _strip_wall(path):
 
 def test_sweep_cells_match_their_runs_alone(tmp_path):
     # the cells of one k share their directions; under sgd some repeats
-    # diverge and leave their arm while the other arms run those rows on
+    # diverge and leave their arm while the other arms run those rows on;
+    # the two noise levels share a loop but are evaluated apart
     cfg = tmp_path / "s.cfg"
-    cfg.write_text(GRID.format(sigma=0.1, kind="[vanilla, zohs, zoar]", k="[3, 4]",
-                               n="[1, 6]", rule="[radazo, sgd]"))
+    cfg.write_text(GRID.format(noise_sigma="[0, 0.1]", kind="[vanilla, zohs, zoar]",
+                               k="[3, 4]", n="[1, 6]", rule="[radazo, sgd]"))
     out = tmp_path / "sweep"
     assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
     cells = sorted(p for p in out.iterdir() if p.is_dir())
-    assert len(cells) == 24
+    assert len(cells) == 48
     statuses = set()
     for cell in cells:
         values = dict(part.split("=") for part in cell.name.split("__"))
         alone_cfg = tmp_path / f"{cell.name}.cfg"
-        alone_cfg.write_text(GRID.format(sigma=0.1, **{key.split(".")[1]: value
-                                                       for key, value in values.items()}))
+        alone_cfg.write_text(GRID.format(**{key.split(".")[1]: value
+                                            for key, value in values.items()}))
         alone = tmp_path / "alone" / cell.name
         run_cli("run", str(alone_cfg), "--out", str(alone))
         assert sorted(p.name for p in cell.iterdir()) == sorted(p.name for p in alone.iterdir())
@@ -386,11 +388,14 @@ def test_sweep_cells_match_their_runs_alone(tmp_path):
 
 
 def test_sweep_draws_directions_once_and_evaluates_every_query(tmp_path, monkeypatch):
-    # the six cells share one seed stream, so the kernel builds one cell's
-    # directions (noise is off); every query is still evaluated by its own
-    # cell: the points evaluated equal the traces' final queries_cum.  No
-    # repeat diverges, since a diverging step is queried but not logged
-    normals, points = [], []
+    # the cells share one seed stream, so the kernel builds one cell's
+    # directions (noise is off), and each step evaluates every cell's
+    # queries in one call.  A run's queries are evaluated at steps 1 to
+    # its last: T if it completed, else the step at which it diverged,
+    # which its trace does not log (its final queries_cum lacks that
+    # step).  Under sgd some runs diverge while the radazo cells run on
+    T, repeats, k = 40, 6, 3
+    normals, calls = [], []
     materialize_block, evaluate = kernels.materialize_block, objectives.eval
 
     def counting_block(seeds, tag, dim):
@@ -398,22 +403,48 @@ def test_sweep_draws_directions_once_and_evaluates_every_query(tmp_path, monkeyp
         return materialize_block(seeds, tag, dim)
 
     def counting_eval(spec, theta, noise_seed=0):
-        points.append(int(np.prod(np.shape(theta)[:-1])))
+        # each point's seed, by the rule eval keys the points on
+        lead, seeds = np.shape(theta)[:-1], np.asarray(noise_seed, dtype=np.uint64)
+        calls.append(np.broadcast_to(seeds.reshape(seeds.shape + (1,) * (len(lead) - seeds.ndim)),
+                                     lead).reshape(-1))
         return evaluate(spec, theta, noise_seed)
 
+    monkeypatch.delenv("ZOAR_SEED", raising=False)
     monkeypatch.setattr(kernels, "materialize_block", counting_block)
     monkeypatch.setattr(objectives, "eval", counting_eval)
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(GRID.format(sigma=0, kind="[vanilla, zohs, zoar]", k=3, n="[1, 6]",
-                               rule="radazo"))
-    out = tmp_path / "sweep"
-    assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
-    traces = sorted(out.glob("*/trace_r*.csv"))
-    assert len(traces) == 6 * 6
-    final_queries = [int(path.read_text().splitlines()[-1].split(",")[1]) for path in traces]
-    assert sum(points) == sum(final_queries)
-    assert (final_queries.count(40 * 3), final_queries.count(40 * 4)) == (12, 24)
-    assert sum(normals) == 6 * 40 * 3 * 4
+    # each point's noise seed names its run and step
+    runs = [sampling.repeat_seed(7, r) for r in range(repeats)]
+    _, noise = sampling.iteration_seeds(sampling.stream_roots(np.array(runs, dtype=np.uint64)),
+                                        range(1, T + 1), k)
+    step_of = {seed: (r, t) for r, row in enumerate(noise.tolist())
+               for t, seed in enumerate(row, start=1)}
+    for rule, cells in (("radazo", 6), ("[radazo, sgd]", 12)):
+        normals.clear()
+        calls.clear()
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(GRID.format(noise_sigma=0, kind="[vanilla, zohs, zoar]", k=k,
+                                   n="[1, 6]", rule=rule))
+        out = tmp_path / f"sweep{cells}"
+        assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+        evaluated = collections.Counter(step_of[seed] for seeds in calls
+                                        for seed in seeds.tolist())
+        expected, finals, diverged = collections.Counter(), [], []
+        assert len([p for p in out.iterdir() if p.is_dir()]) == cells
+        for path in out.glob("*/trace_r*.csv"):
+            r = int(path.stem[len("trace_r"):])
+            lines = path.read_text().splitlines()[1:]
+            assert len(lines) >= 2  # a run diverged at step t logs t rows
+            q = int(lines[1].split(",")[1])
+            expected.update({(r, t): q for t in range(1, min(len(lines), T) + 1)})
+            finals.append(int(lines[-1].split(",")[1]))
+            if len(lines) <= T:
+                diverged.append(q)
+        assert len(finals) == cells * repeats
+        assert evaluated == expected  # nothing is evaluated after a run's last step
+        assert sum(evaluated.values()) == sum(finals) + sum(diverged)
+        assert bool(diverged) == ("sgd" in rule)
+        assert len(calls) == T
+        assert sum(normals) == repeats * T * k * 4
 
 
 def _trace(gaps, queries_per_iter, status="completed"):

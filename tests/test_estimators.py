@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zoar._kernels as kernels
-from zoar import sampling, verify
+from zoar import estimators, sampling, verify
 from zoar.estimators import (EstimatorConfig, HistoryBuffer, InsufficientHistoryError,
                              c_n_constant, fd_estimate, gamma_factor,
                              reinforce_gs_estimate, reinforce_is_estimate,
@@ -240,7 +240,7 @@ def _coord_rows(dim, *indices):
 
 def _stacked(buf):
     """The ring's directions oldest first, as one (..., n*k, dim) array."""
-    return np.stack(buf.rows(), axis=-2)
+    return np.moveaxis(np.concatenate(buf.spans()), 0, -2)
 
 
 def test_push_block_ring_semantics():
@@ -369,6 +369,69 @@ def test_zoar_reduction_matches_seeded_weighted_sum_bitwise(tag):
     ref = kernels.weighted_direction_sum(seeds[-k * n:], int(tag), dim, coeffs)
     ref *= (dim if tag is DistTag.SPHERE else 1.0) / (k * n - 1)
     assert np.array_equal(zoar_estimate(buf, mu), ref)
+
+
+def _loop_sum(coeffs, rows):
+    """grad += coeffs[..., j] * u_j for each row u_j in order, from zeros."""
+    grad = np.zeros(coeffs.shape[:-1] + rows[0].shape[-1:])
+    for j, u in enumerate(rows):
+        grad += coeffs[..., j, None] * u
+    return grad
+
+
+def _awkward_coeffs(rng, shape):
+    """Eight draws of coefficients over four decades with signed zeros,
+    where a large term and its negation sit far apart, so partial sums
+    cancel and another summation order rounds differently; and all -0.0,
+    whose terms sum to +0.0 only from a +0.0 start."""
+    draws = []
+    for _ in range(8):
+        c = rng.standard_normal(shape) * 10.0 ** rng.integers(0, 4, size=shape)
+        c[..., 1], c[..., 2] = -0.0, 0.0
+        c[..., -1] = -c[..., 0]
+        draws.append(c)
+    return draws + [np.full(shape, -0.0)]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 1000])
+@pytest.mark.parametrize("rows", [None, 1, 5], ids=["ring-1d", "R1", "R5"])
+@pytest.mark.parametrize("tag", list(DistTag))
+def test_one_pass_sum_matches_the_loop_bitwise(monkeypatch, tag, rows, dim):
+    # a partly filled ring (one slot range) and a wrapped one (two), and a
+    # difference step's (k, ..., d) block; each under the default size
+    # limit (dim 1000 at R = 5 lies above it), forced to the loop, and
+    # forced to one pass
+    k, n = 4, 5
+    lead = () if rows is None else (rows,)
+    rng = np.random.default_rng(dim)
+    seeds = kernels.np_fold(np.uint64(dim), np.arange(7 * k * (rows or 1), dtype=np.uint64))
+    blocks = kernels.materialize_block(seeds, int(tag), dim).reshape((7,) + lead + (k, dim))
+    cases = []
+    for pushes in (3, 7):
+        buf = HistoryBuffer(k, n, tag, dim, rows=rows)
+        for block in blocks[:pushes]:
+            buf.push_block(block, np.zeros(lead + (k,)))
+        assert len(buf.spans()) == (1 if pushes <= n else 2)
+        kept = [block[..., j, :] for block in blocks[max(0, pushes - n):pushes]
+                for j in range(k)]
+        cases += [(c, buf.spans(), kept) for c in _awkward_coeffs(rng, lead + (len(kept),))]
+    step = blocks[0]
+    cases += [(c, [np.moveaxis(step, -2, 0)], [step[..., j, :] for j in range(k)])
+              for c in _awkward_coeffs(rng, lead + (k,))]
+    for coeffs, spans, kept in cases:
+        ref = _loop_sum(coeffs, kept)
+        for limit in (estimators.SUM_ELEMENTS, 0, 1 << 40):
+            monkeypatch.setattr(estimators, "SUM_ELEMENTS", limit)
+            assert estimators._weighted_sum(coeffs, spans).tobytes() == ref.tobytes(), limit
+    # the data tell the orders apart: NumPy's pairwise sum along a
+    # contiguous axis rounds some draw of the wrapped ring's terms
+    # differently
+    pairwise = []
+    for coeffs, _, kept in cases[9:17]:
+        terms = np.stack([coeffs[..., j, None] * u for j, u in enumerate(kept)], axis=-1)
+        pairwise.append(np.add.reduce(terms, axis=-1).tobytes()
+                        != _loop_sum(coeffs, kept).tobytes())
+    assert any(pairwise) or tag is DistTag.COORDINATE
 
 
 def test_zoar_monte_carlo_mean_is_smoothed_gradient():

@@ -264,13 +264,13 @@ def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
     for r in range(R):
         assert values[r, -1] == real(spec, theta[r], noise[r, 0])
 
-    # one evaluation per step of the loop
+    # one evaluation per step of the loop, of each row's k points and centre
     T = 9
     for est_kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS, EstimatorKind.ZOHS):
         seen.clear()
         run_optimization(spec, est_kind, cfg, OptimizerConfig(eta=0.01), T, [1, 2, 3],
                          np.zeros((R, 6)))
-        assert [p.shape for p, _ in seen] == [(R, cfg.k + 1, 6)] * T
+        assert [p.shape for p, _ in seen] == [(R * (cfg.k + 1), 6)] * T
 
 
 def test_desk_shaped_run_peak_follows_the_chunk_budget():
@@ -291,6 +291,54 @@ def test_desk_shaped_run_peak_follows_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert peak < ring + 4 * chunk + 4 * step
+
+
+def _loop_peak(arms, iterations, seeds):
+    optimizers.run_arms(arms, 1, seeds)  # allocations made once per process
+    tracemalloc.start()
+    try:
+        traces = optimizers.run_arms(arms, iterations, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.completed for arm_traces in traces for t in arm_traces)
+    return peak
+
+
+def test_wide_arms_are_evaluated_one_at_a_time():
+    # d = 10^4: one arm's 11 points exceed the batch, so each arm is
+    # evaluated alone and the step peaks where it did when every arm made
+    # its own call (7.849 MB measured then, 7.852-7.856 MB now): the zoar
+    # ring, a chunk of one iteration, one arm's points and the
+    # objective's equal-sized temporary, theta, m and v of both arms, and
+    # 64 KiB for small objects.  Evaluating both arms in one call, or
+    # keeping the batch buffer or the step's directions into the next
+    # draw, measured 0.8-1.7 MB more
+    d, k, n = 10_000, 10, 6
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d)
+    theta0 = (kernels.uniform_doubles(3, d) * 4 - 2)[None]
+    est, cfg = EstimatorConfig(mu=0.05, k=k, n=n), OptimizerConfig(eta=0.001)
+    arms = [optimizers.Arm(spec, kind, est, cfg, theta0)
+            for kind in (EstimatorKind.ZOAR, EstimatorKind.VANILLA)]
+    assert (k + 1) * d > optimizers.BATCH_ELEMENTS
+    ring, chunk, points, row = n * k * d * 8, k * d * 8, (k + 1) * d * 8, d * 8
+    assert _loop_peak(arms, n + 2, [3]) < ring + chunk + 2 * points + 6 * row + (64 << 10)
+
+
+def test_desk_shaped_sweep_peak_is_bounded_by_one_batch():
+    # d = 100, k = 10, 5 repeats, noise on, vanilla and zoar at n = 1 and
+    # 6: all four arms' 21 000 point entries go into one evaluation, whose
+    # buffer, point digests and seed-mixing temporary raised the peak from
+    # 0.739 MB (an evaluation per arm) to 1.000-1.009 MB; the bound is
+    # that measured peak plus one full batch
+    R, d, k = 5, 100, 10
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d, noise_sigma=0.05)
+    theta0 = (kernels.uniform_doubles(3, R * d) - 0.5).reshape(R, d)
+    arms = [optimizers.Arm(spec, kind, EstimatorConfig(mu=0.05, k=k, n=n),
+                           OptimizerConfig(eta=0.001), theta0)
+            for kind in (EstimatorKind.VANILLA, EstimatorKind.ZOAR) for n in (1, 6)]
+    assert R * (2 * (k + 1) + 2 * k) * d <= optimizers.BATCH_ELEMENTS
+    assert _loop_peak(arms, 40, list(range(R))) < 1_009_000 + optimizers.BATCH_ELEMENTS * 8
 
 
 def test_traces_retain_two_floats_per_logged_iteration():
@@ -374,7 +422,8 @@ def test_start_past_divergence_limit_is_diverged_at_one_unqueried(monkeypatch, e
 
     monkeypatch.setattr(objectives, "eval", spy)
     group = run_optimization(spec, est_kind, est, cfg, T, seeds, theta0)
-    assert queried == [2] * T
+    # one evaluation per step, of the two live rows' queries
+    assert queried == [2 * group[0].queries_per_iter] * T
     assert group[1].diverged_at == 1
     assert group[1].f_clean.tolist() == [objectives.clean_value(spec, theta0[1])]
     for r in (0, 2):
