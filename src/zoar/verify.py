@@ -8,16 +8,21 @@ only the algebraic identities use absolute tolerances (0 exactly, or
 
 The history checks draw directions with :func:`estimators.directions`
 and turn them into points, values and noise through
-:func:`estimators.query_block`, the optimisation loop's own query path;
-only their reduction over each trial's history is the verifier's own.
+:func:`estimators.query_block`, the optimisation loop's own query path,
+in one sampler, :func:`_history_queries`.  Only the two reductions over
+each trial's history are the verifier's own: the averaged-baseline
+estimate (:func:`_history_estimates`) and the squared error at fixed
+baselines (:func:`_baseline_variances`).
 
 The Monte-Carlo checks walk their trials in chunks of at most
 ``TRIAL_CHUNK_ELEMENTS`` direction entries (trials x queries x d), so
 that one chunk's directions, points, values and noise digests (512 KiB
 each at 2**16 float64 entries) stay in a core's L2 cache while the pure
 kernel's few dozen elementwise passes run over them.  Every trial's work
-is independent and each reduction over trials runs on the assembled
-(trials, ...) array, so the reports do not depend on the chunk size.
+is independent: a chunk reduces each trial to a row of its own, and each
+reduction over trials runs on the assembled (trials, ...) array, so the
+reports do not depend on the chunk size.  No check holds more than a
+few (trials, d) or (probes, trials) arrays besides one chunk.
 """
 
 import json
@@ -60,8 +65,8 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # vectorised history sampling: the loop's query_block draws the queries;
-# the reduction is this module's, pinned to estimators.zoar_estimate by a
-# unit test
+# the two reductions over them are this module's, the averaged-baseline
+# one pinned to estimators.zoar_estimate by a unit test
 
 def _chunked(trials: int, per_trial: int):
     """(start, size) chunks of ``trials`` with at most
@@ -75,32 +80,31 @@ def _chunked(trials: int, per_trial: int):
         start += size
 
 
-def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
-                       cfg: EstimatorConfig, trials: int, seed: int,
-                       baseline_grid: np.ndarray | None = None):
-    """Reuse-estimator samples over independent history fills.
+def _reuse_scale(cfg: EstimatorConfig, theta_seq: np.ndarray) -> float:
+    """Factor of the reuse estimate over a full history of
+    ``theta_seq.shape[0]`` blocks of ``cfg.k`` queries."""
+    n_blocks, d = theta_seq.shape
+    return direction_scale(cfg.tag, d) / ((n_blocks * cfg.k - 1) * cfg.mu)
+
+
+def _history_queries(spec: ObjectiveSpec, theta_seq: np.ndarray,
+                     cfg: EstimatorConfig, trials: int, seed: int):
+    """Independent history fills, one chunk of trials at a time.
 
     ``theta_seq`` has shape (n_blocks, d); block b of every trial is
     drawn at theta_seq[b] with its own noise seed by
     :func:`estimators.query_block`, as one iteration of the optimization
-    loop draws it.  Returns estimates of shape
-    (trials, d), or (len(baseline_grid), trials, d) when an explicit
-    baseline grid overrides the averaged baseline.
+    loop draws it.  Yields ``(start, values, dirs)`` per chunk, with
+    values of shape (size, m) and dirs of shape (size, m, d), m =
+    n_blocks·k, for trials start .. start + size - 1.
 
-    Trials are generated ``TRIAL_CHUNK_ELEMENTS // (n_blocks·k·d)`` at a
-    time (at least one), so the chunk's direction and point arrays fit in
-    L2; each trial's estimate depends on its own seeds alone, so the
-    output bits do not depend on the chunk size.
+    Trials are drawn ``TRIAL_CHUNK_ELEMENTS // (m·d)`` at a time (at
+    least one), so the chunk's direction and point arrays fit in L2; each
+    trial's queries depend on its own seeds alone, so their bits do not
+    depend on the chunk size.
     """
-    theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
     n_blocks, d = theta_seq.shape
     m = n_blocks * cfg.k
-    scale = direction_scale(cfg.tag, d) / ((m - 1) * cfg.mu)
-
-    grid = None if baseline_grid is None else np.asarray(baseline_grid, dtype=np.float64)
-    out = (np.empty((trials, d)) if grid is None
-           else np.empty((grid.shape[0], trials, d)))
-
     trial_root = sampling.fold(seed, sampling.NS_TRIAL)
     for start, size in _chunked(trials, m * d):
         roots = kernels.np_fold(np.uint64(trial_root),
@@ -110,17 +114,49 @@ def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
         noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
         dirs = estimators.directions(dir_seeds, cfg.tag, d)
         values = estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
-        values = values.reshape(size, m)
-        dirs = dirs.reshape(size, m, d)
-        if grid is None:
-            coeffs = values - values.mean(axis=1, keepdims=True)
-            out[start:start + size] = scale * np.einsum("tm,tmd->td", coeffs, dirs)
-        else:
-            s_yu = np.einsum("tm,tmd->td", values, dirs)
-            s_u = dirs.sum(axis=1)
-            for gi, b in enumerate(grid):
-                out[gi, start:start + size] = scale * (s_yu - b * s_u)
+        yield start, values.reshape(size, m), dirs.reshape(size, m, d)
+
+
+def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
+                       cfg: EstimatorConfig, trials: int, seed: int) -> np.ndarray:
+    """Reuse-estimator samples, shape (trials, d), over the independent
+    history fills of :func:`_history_queries`, each reduced with the
+    averaged baseline (the mean of its trial's values)."""
+    theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
+    scale = _reuse_scale(cfg, theta_seq)
+    out = np.empty((trials, theta_seq.shape[1]))
+    for start, values, dirs in _history_queries(spec, theta_seq, cfg, trials, seed):
+        coeffs = values - values.mean(axis=1, keepdims=True)
+        out[start:start + values.shape[0]] = scale * np.einsum("tm,tmd->td", coeffs, dirs)
     return out
+
+
+def _baseline_variances(spec: ObjectiveSpec, theta_seq: np.ndarray,
+                        cfg: EstimatorConfig, probes: np.ndarray,
+                        target: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Mean over trials of the squared distance ||g(b) - target||^2 of the
+    reuse estimate g(b) = scale·(S_yu - b·S_u) from ``target``, for each
+    fixed baseline b in ``probes``.
+
+    S_yu = sum_j y_j u_j and S_u = sum_j u_j are formed per chunk of
+    :func:`_history_queries`, and each trial's squared error at each
+    probe is reduced over d there, so only a (probes, trials) array is
+    held, never the (probes, trials, d) estimates.
+    """
+    scale = _reuse_scale(cfg, theta_seq)
+    sq = np.empty((probes.shape[0], trials))
+    for start, values, dirs in _history_queries(spec, theta_seq, cfg, trials, seed):
+        stop = start + values.shape[0]
+        s_yu = np.einsum("tm,tmd->td", values, dirs)
+        s_u = dirs.sum(axis=1)
+        for pi, b in enumerate(probes):
+            sq[pi, start:stop] = np.sum((scale * (s_yu - b * s_u) - target) ** 2, axis=1)
+    return sq.mean(axis=1)
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"a Monte-Carlo check needs at least 2 trials, got {trials}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +170,7 @@ def check_objective_equivalence(spec: ObjectiveSpec, theta, mu: float,
     F(x); stream B averages F(theta + mu*u) directly.  Passes when the
     means differ by less than 5 combined standard errors.
     """
+    _require_trials(trials)
     theta = sampling.as_params(theta, spec.dim)
     if mu == 0.0:
         value = objectives.clean_value(spec, theta)
@@ -217,6 +254,7 @@ def check_history_estimator_mean(spec: ObjectiveSpec, theta_seq, cfg: EstimatorC
     smoothed gradients (Quadratic only: each equals theta)."""
     if spec.kind is not ObjectiveKind.QUADRATIC:
         raise ValueError("the bias check uses the quadratic analytic gradient")
+    _require_trials(trials)
     theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
     target = theta_seq.mean(axis=0)
     est = _history_estimates(spec, theta_seq, cfg, trials, seed)
@@ -233,24 +271,25 @@ def check_optimal_baseline(spec: ObjectiveSpec, theta_seq,
                                 trials: int, seed: int) -> CheckReport:
     """Empirical estimator variance over a baseline grid must bottom out
     within one grid cell of the averaged smoothed value, and sit strictly
-    below the variance at b = 0 and b = b* + 1."""
+    below the variance at b = 0 and b = b* + 1.  The grid needs at least
+    two values, none repeated, so that its cell is positive and finite."""
     if cfg.tag is not DistTag.SPHERE:
         raise ValueError("the optimal-baseline analysis assumes unit-sphere directions")
     if spec.kind is not ObjectiveKind.QUADRATIC:
         raise ValueError("the optimal-baseline check uses quadratic closed forms")
-    theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
+    _require_trials(trials)
     grid = np.sort(np.asarray(baseline_grid, dtype=np.float64))
+    if grid.shape[0] < 2 or not np.all(np.diff(grid) > 0.0):
+        raise ValueError("the baseline grid needs at least two distinct values "
+                         f"and no repeats, got {grid.tolist()}")
+    theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
     b_star = float(np.mean(0.5 * np.sum(theta_seq ** 2, axis=1) + 0.5 * cfg.mu ** 2))
-    target = theta_seq.mean(axis=0)
     probes = np.concatenate([grid, [b_star, 0.0, b_star + 1.0]])
-    est = _history_estimates(spec, theta_seq, cfg, trials, seed, baseline_grid=probes)
-    # one probe row at a time: a (probes, trials, d) temporary would
-    # double the peak
-    var = np.array([np.mean(np.sum((row - target[None, :]) ** 2, axis=1))
-                    for row in est])
+    var = _baseline_variances(spec, theta_seq, cfg, probes, theta_seq.mean(axis=0),
+                              trials, seed)
     grid_var = var[:grid.shape[0]]
     v_star, v_zero, v_plus = var[-3], var[-2], var[-1]
-    cell = float(np.min(np.diff(grid))) if grid.shape[0] > 1 else math.inf
+    cell = float(np.min(np.diff(grid)))
     minimizer = float(grid[int(np.argmin(grid_var))])
     stat = abs(minimizer - b_star) / cell
     ordered = v_star < v_zero and v_star < v_plus
@@ -277,6 +316,7 @@ def check_variance_scaling(spec: ObjectiveSpec, theta, cfg: EstimatorConfig,
     depth 1 halves the variance within the same band, and that switching
     on observation noise strictly inflates the variance.
     """
+    _require_trials(trials)
     theta = sampling.as_params(theta, spec.dim)
     var1 = _frozen_variance(spec, theta, cfg, 1, trials, sampling.fold(seed, 1))
     stat = 0.0

@@ -39,14 +39,18 @@ def test_batch_history_path_matches_production_estimator(sigma):
 
 def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
     """Every chunk's queries come from one estimators.query_block call,
-    and routing them there moves no output bit."""
+    for the averaged-baseline estimates and for the baseline check, and
+    routing them there moves no output bit."""
     spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=0.1)
     theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.GAUSSIAN)
+    quad = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4, noise_sigma=0.1)
+    sphere = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
     grid = np.array([-1.0, 0.0, 2.5])
     monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", 100)
-    before = [verify._history_estimates(spec, theta_seq, cfg, 23, seed=5, baseline_grid=g)
-              for g in (None, grid)]
+    runs = [lambda: verify._history_estimates(spec, theta_seq, cfg, 23, seed=5),
+            lambda: verify.check_optimal_baseline(quad, theta_seq, sphere, grid, 23, seed=5)]
+    before = [run() for run in runs]
 
     calls = []
     real = estimators.query_block
@@ -56,13 +60,19 @@ def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
         return real(obj, theta, cfg_, dirs, noise_seeds)
 
     monkeypatch.setattr(estimators, "query_block", spy)
-    after = [verify._history_estimates(spec, theta_seq, cfg, 23, seed=5, baseline_grid=g)
-             for g in (None, grid)]
+    after = [run() for run in runs]
     chunks = list(verify._chunked(23, theta_seq.shape[0] * cfg.k * 4))
     assert len(chunks) > 1
     assert calls == [(size, theta_seq.shape[0], cfg.k) for _, size in chunks] * 2
-    for got, want in zip(after, before):
-        assert np.array_equal(got, want)
+    assert np.array_equal(after[0], before[0])
+    assert after[1] == before[1]
+
+    calls.clear()
+    m = theta_seq.shape[0] * cfg.k
+    yielded = [(start, values.shape, dirs.shape) for start, values, dirs
+               in verify._history_queries(spec, theta_seq, cfg, 23, seed=5)]
+    assert yielded == [(start, (size, m), (size, m, 4)) for start, size in chunks]
+    assert len(calls) == len(chunks)
 
 
 def test_objective_equivalence_statistical_and_degenerate():
@@ -123,6 +133,37 @@ def test_optimal_baseline_check():
         verify.check_optimal_baseline(
             spec, theta[None, :],
             EstimatorConfig(mu=0.05, k=10, tag=DistTag.GAUSSIAN), grid, 10, 1)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.5], [0.4, 0.5, 0.4], [0.5], []],
+                         ids=["repeated", "repeat-among-distinct", "one-point", "empty"])
+def test_optimal_baseline_needs_two_distinct_grid_values(grid):
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 6)
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    with pytest.raises(ValueError, match="two distinct"):
+        verify.check_optimal_baseline(spec, np.zeros((1, 6)), cfg, grid, 100, 10)
+
+
+_QUAD = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
+_SPHERE = EstimatorConfig(mu=0.05, k=4, tag=DistTag.SPHERE)
+MONTE_CARLO_CHECKS = {
+    "objective_equivalence": lambda trials: verify.check_objective_equivalence(
+        _QUAD, np.zeros(3), 1.0, DistTag.SPHERE, trials, 1),
+    "history_estimator_mean": lambda trials: verify.check_history_estimator_mean(
+        _QUAD, np.zeros((1, 3)), _SPHERE, trials, 1),
+    "optimal_baseline": lambda trials: verify.check_optimal_baseline(
+        _QUAD, np.eye(3)[:1], _SPHERE, [0.4, 0.5, 0.6], trials, 1),
+    "variance_scaling": lambda trials: verify.check_variance_scaling(
+        _QUAD, np.full(3, 0.5), _SPHERE, [2], trials, 1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MONTE_CARLO_CHECKS))
+@pytest.mark.parametrize("trials", [0, 1])
+def test_monte_carlo_checks_need_two_trials(check, trials):
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        MONTE_CARLO_CHECKS[check](trials)
+    assert MONTE_CARLO_CHECKS[check](2).trials == 2
 
 
 def test_variance_scaling_check():
@@ -202,22 +243,50 @@ def _under_budgets(monkeypatch, fn):
     return results
 
 
+CHUNK_THETA_SEQ = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0],
+                            [0.0, 0.1, 0.2, 0.3]])
+CHUNK_PROBES = np.array([-1.0, 0.0, 2.5])
+
+
 @pytest.mark.parametrize("tag", list(DistTag))
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_history_estimates_do_not_depend_on_chunk_size(monkeypatch, tag, sigma):
     spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=sigma)
-    theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0],
-                          [0.0, 0.1, 0.2, 0.3]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=tag)
-    grid = np.array([-1.0, 0.0, 2.5])
+    target = CHUNK_THETA_SEQ.mean(axis=0)
     averaged = _under_budgets(monkeypatch, lambda: verify._history_estimates(
-        spec, theta_seq, cfg, 23, seed=5))
-    gridded = _under_budgets(monkeypatch, lambda: verify._history_estimates(
-        spec, theta_seq, cfg, 23, seed=5, baseline_grid=grid))
+        spec, CHUNK_THETA_SEQ, cfg, 23, seed=5))
+    variances = _under_budgets(monkeypatch, lambda: verify._baseline_variances(
+        spec, CHUNK_THETA_SEQ, cfg, CHUNK_PROBES, target, 23, seed=5))
     for got in averaged[1:]:
         assert np.array_equal(got, averaged[0])
-    for got in gridded[1:]:
-        assert np.array_equal(got, gridded[0])
+    for got in variances[1:]:
+        assert np.array_equal(got, variances[0])
+
+
+@pytest.mark.parametrize("tag", list(DistTag))
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_streamed_baseline_variances_match_the_full_estimates(monkeypatch, tag, sigma):
+    """The chunk-by-chunk variances equal, bit for bit, the ones reduced
+    from every probe's full (trials, d) estimates at once."""
+    spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=sigma)
+    cfg = EstimatorConfig(mu=0.07, k=3, tag=tag)
+    trials = 23
+    target = CHUNK_THETA_SEQ.mean(axis=0)
+    values = np.empty((trials, CHUNK_THETA_SEQ.shape[0] * cfg.k))
+    dirs = np.empty(values.shape + (4,))
+    for start, v, u in verify._history_queries(spec, CHUNK_THETA_SEQ, cfg, trials, seed=5):
+        values[start:start + v.shape[0]] = v
+        dirs[start:start + v.shape[0]] = u
+    scale = verify.direction_scale(tag, 4) / ((values.shape[1] - 1) * cfg.mu)
+    s_yu = np.einsum("tm,tmd->td", values, dirs)
+    s_u = dirs.sum(axis=1)
+    est = np.stack([scale * (s_yu - b * s_u) for b in CHUNK_PROBES])
+    want = np.array([np.mean(np.sum((row - target[None, :]) ** 2, axis=1)) for row in est])
+    got = _under_budgets(monkeypatch, lambda: verify._baseline_variances(
+        spec, CHUNK_THETA_SEQ, cfg, CHUNK_PROBES, target, trials, seed=5))
+    for streamed in got:
+        assert streamed.tobytes() == want.tobytes()
 
 
 def test_check_reports_do_not_depend_on_chunk_size(monkeypatch):
@@ -257,18 +326,26 @@ def test_variance_scaling_peak_is_bounded():
 
 
 def test_optimal_baseline_peak_is_bounded():
-    # acceptance size: 24 probes x 10000 trials x d = 10 estimates; the
-    # variance must not copy that array
+    # acceptance size: 24 probes x 10000 trials x d = 10 estimates would
+    # take 19.2 MB; streamed, the check holds a 1.9 MB (probes, trials)
+    # array plus one chunk's working arrays
     theta = np.zeros(10)
     theta[0] = 1.0
     cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
     grid = 0.50125 + 0.05 * np.arange(-10, 11)
-    trials = 10000
     peak = _traced_peak(lambda: verify.check_optimal_baseline(
         ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), theta[None, :], cfg, grid,
-        trials, seed=500))
-    estimates_bytes = (grid.shape[0] + 3) * trials * 10 * 8
-    assert peak < 1.5 * estimates_bytes
+        10000, seed=500))
+    assert peak < 8 * MIB
+
+
+def test_history_estimator_mean_peak_is_bounded():
+    # acceptance size: the (trials, d) estimates are 1.2 MB
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 5)
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    peak = _traced_peak(lambda: verify.check_history_estimator_mean(
+        spec, np.linspace(0.2, 1.0, 5)[None, :], cfg, trials=30000, seed=700))
+    assert peak < 8 * MIB
 
 
 def test_objective_equivalence_peak_is_bounded():
