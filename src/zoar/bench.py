@@ -12,8 +12,7 @@ from . import _kernels as kernels
 from . import sampling
 from .estimators import EstimatorConfig
 from .objectives import ObjectiveSpec
-from .optimizers import (Arm, EstimatorKind, OptimizerConfig, Trace, run_arms,
-                         run_optimization)
+from .optimizers import Arm, EstimatorKind, OptimizerConfig, Trace, run_optimization
 
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
@@ -122,19 +121,8 @@ def _starts(cfg: RunConfig, seeds: list[int]) -> np.ndarray:
 
 
 def run_experiment(cfg: RunConfig) -> list[Trace]:
-    """One trace per repeat, with per-repeat derived seeds.
-
-    The repeat's initial point and query streams depend only on
-    (master_seed, repeat index), so different estimators compared under
-    the same master seed see matched initial points and directions.
-    Repeats advance in lockstep groups of :func:`_group_rows`; a repeat's
-    trace does not depend on the group it ran in.
-    """
-    traces = []
-    for seeds in _seed_groups(cfg, _group_rows([cfg])):
-        traces += run_optimization(cfg.objective, cfg.estimator_kind, cfg.estimator,
-                                   cfg.optimizer, cfg.iterations, seeds, _starts(cfg, seeds))
-    return traces
+    """One trace per repeat: the sweep of one cell (:func:`run_sweep`)."""
+    return run_sweep([cfg])[0]
 
 
 def _stream(cfg: RunConfig) -> tuple:
@@ -168,11 +156,16 @@ def _arm_groups(cfgs: list[RunConfig]) -> list[list[int]]:
 
 
 def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
-    """Each cell's traces, the ones :func:`run_experiment` gives it.
+    """Each cell's traces, one per repeat, with per-repeat derived seeds.
 
-    The cells of one :func:`_arm_groups` entry run as the arms of one
-    lockstep loop in groups of the smallest of their :func:`_group_rows`,
-    so each chunk of seeds and directions is drawn once for all of them.
+    A repeat's initial point and query streams depend only on
+    (master_seed, repeat index), so different estimators compared under
+    the same master seed see matched initial points and directions.  The
+    cells of one :func:`_arm_groups` entry run as the arms of one
+    :func:`run_optimization` call per lockstep group of repeats, the
+    smallest of their :func:`_group_rows`, so each chunk of seeds and
+    directions is drawn once for all of them; a repeat's trace does not
+    depend on the group, or the other cells, it ran with.
     """
     traces: list[list[Trace]] = [[] for _ in cfgs]
     for cells in _arm_groups(cfgs):
@@ -180,7 +173,8 @@ def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
         for seeds in _seed_groups(group[0], _group_rows(group)):
             arms = [Arm(c.objective, c.estimator_kind, c.estimator, c.optimizer,
                         _starts(c, seeds)) for c in group]
-            for i, arm_traces in zip(cells, run_arms(arms, group[0].iterations, seeds)):
+            runs = run_optimization(arms, group[0].iterations, seeds)
+            for i, arm_traces in zip(cells, runs):
                 traces[i] += arm_traces
     return traces
 

@@ -5,7 +5,8 @@ under ``[objective]``, ``[estimator]``, ``[optimizer]``, and ``[run]``
 sections, with ``#`` comments.  Unknown sections or keys, and a key
 given twice in one section, are hard errors.  A value of the form
 ``[a, b, c]`` is a list; lists are only meaningful to ``sweep``, which
-expands their Cartesian product.
+expands their Cartesian product, so a list that gives one value twice
+is an error too.
 
 Exit codes: 0 success, 2 usage/config error, 3 all repeats diverged,
 4 verification failure.  The environment variable ``ZOAR_SEED``
@@ -97,6 +98,16 @@ def parse_config(text: str) -> dict:
             items = [item.strip() for item in raw[1:-1].split(",") if item.strip()]
             if not items:
                 raise ConfigError(f"line {lineno}: empty list for key {key!r}")
+            conv, firsts = _SCHEMA[(section, key)][0], {}
+            for i, item in enumerate(items):
+                try:  # what the item sets, names without case
+                    setting = repr(conv(item)).lower()
+                except ValueError:  # build_run_config reports it
+                    setting = item.lower()
+                first = firsts.setdefault(setting, i)
+                if first != i:
+                    raise ConfigError(f"line {lineno}: value {item!r} in the list for key "
+                                      f"{key!r} in [{section}] repeats {items[first]!r}")
             values[(section, key)] = items
         else:
             values[(section, key)] = raw

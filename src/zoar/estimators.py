@@ -42,7 +42,7 @@ terms, which NumPy would add pairwise, a loop adds one term at a time.
 A desk step (d = 100, 5 runs, a ring of 60) takes the single pass; a
 d = 10**4 ring takes the loop, whose (d,) temporaries stay in cache.
 
-The array-level functions (:func:`query_block`, :func:`difference_estimate`,
+The array-level functions (:func:`query_block`, :func:`difference_gradient`,
 :func:`zoar_estimate`, :func:`zohs_estimate` and the ring) take any
 leading axes before the last one: the optimisation loop passes R runs at
 once as (R, d) parameters, and every row gets the bits it would get
@@ -258,25 +258,15 @@ def difference_gradient(values: np.ndarray, dirs: np.ndarray, cfg: EstimatorConf
     return grad
 
 
-def difference_estimate(obj, theta: np.ndarray, cfg: EstimatorConfig,
-                        dirs: np.ndarray, noise_seeds,
-                        gamma: float | None = None) -> np.ndarray:
-    """Queries the k perturbed points of the (..., k, d) ``dirs`` and the
-    centre of each row of ``theta`` (..., d) in one :func:`query_block`
-    call and returns the (..., d) :func:`difference_gradient`."""
-    values = query_block(obj, theta, cfg, dirs, noise_seeds, centre=True)
-    return difference_gradient(values, dirs, cfg, gamma)
-
-
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
                        master_seed: int, gamma: float | None = None):
     """One run's difference estimate; returns (gradient, queries_used)."""
     theta = sampling.as_params(theta)
     dirs = directions(sampling.direction_seeds(master_seed, iteration, cfg.k),
                       cfg.tag, theta.shape[-1])
-    grad = difference_estimate(obj, theta, cfg, dirs,
-                               sampling.noise_seed(master_seed, iteration), gamma)
-    return grad, cfg.k + 1
+    values = query_block(obj, theta, cfg, dirs, sampling.noise_seed(master_seed, iteration),
+                         centre=True)
+    return difference_gradient(values, dirs, cfg, gamma), cfg.k + 1
 
 
 def fd_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
@@ -352,12 +342,10 @@ def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
     importance-sampled form.
     """
     gamma, ln_gamma = gamma_factor(cfg.tag, len(np.asarray(theta)), cfg.mu)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        grad, queries = _difference_kernel(obj, theta, cfg, iteration, master_seed)
-        return ISEstimate(grad, queries, gamma, ln_gamma, scaled=False)
+    scaled = math.isfinite(gamma) and gamma > 0.0
     grad, queries = _difference_kernel(obj, theta, cfg, iteration, master_seed,
-                                       gamma=gamma)
-    return ISEstimate(grad, queries, gamma, ln_gamma, scaled=True)
+                                       gamma if scaled else None)
+    return ISEstimate(grad, queries, gamma, ln_gamma, scaled)
 
 
 def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:

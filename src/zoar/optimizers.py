@@ -1,4 +1,5 @@
-"""Parameter update rules and the query-driven optimization loop."""
+"""Parameter update rules and the query-driven optimization loop, whose
+one entry is :func:`run_optimization`: a list of arms run in lockstep."""
 
 import enum
 import itertools
@@ -336,9 +337,10 @@ def _advance(running: list, chunk: Chunk, t: int, d: int) -> tuple[list[float], 
     return own, shared
 
 
-def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
+def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     """Run the loop (sample, query, estimate, update, log) of every arm
-    for R ``seeds`` in lockstep; returns each arm's R traces.
+    for R ``seeds`` in lockstep; returns each arm's R traces.  This is
+    the loop's one entry: one estimator is a list of one arm.
 
     Run r of every arm draws the directions and noise seeds of seed r, so
     the arms must agree on k, the direction law and the dimension.  They
@@ -404,13 +406,3 @@ def run_arms(arms, iterations: int, seeds) -> list[list[Trace]]:
                    None if end == iterations + 1 else end)
              for r, end in enumerate(s.ends.tolist())]
             for arm, s in zip(arms, states)]
-
-
-def run_optimization(obj: objectives.ObjectiveSpec, estimator_kind: EstimatorKind,
-                     est_cfg: EstimatorConfig, opt_cfg: OptimizerConfig,
-                     iterations: int, seeds, theta0) -> list[Trace]:
-    """Run one estimator for R ``seeds`` from their (R, d) ``theta0`` in
-    lockstep: the one-arm case of :func:`run_arms`; returns the R traces."""
-    [traces] = run_arms([Arm(obj, estimator_kind, est_cfg, opt_cfg, theta0)],
-                        iterations, seeds)
-    return traces

@@ -101,7 +101,8 @@ def _history_queries(spec: ObjectiveSpec, theta_seq: np.ndarray,
     Trials are drawn ``TRIAL_CHUNK_ELEMENTS // (m·d)`` at a time (at
     least one), so the chunk's direction and point arrays fit in L2; each
     trial's queries depend on its own seeds alone, so their bits do not
-    depend on the chunk size.
+    depend on the chunk size.  A consumer drops its references to a chunk
+    before it asks for the next, so no chunk is held during a draw.
     """
     n_blocks, d = theta_seq.shape
     m = n_blocks * cfg.k
@@ -115,6 +116,7 @@ def _history_queries(spec: ObjectiveSpec, theta_seq: np.ndarray,
         dirs = estimators.directions(dir_seeds, cfg.tag, d)
         values = estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
         yield start, values.reshape(size, m), dirs.reshape(size, m, d)
+        del dirs, values  # before the next chunk is drawn
 
 
 def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
@@ -128,6 +130,7 @@ def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
     for start, values, dirs in _history_queries(spec, theta_seq, cfg, trials, seed):
         coeffs = values - values.mean(axis=1, keepdims=True)
         out[start:start + values.shape[0]] = scale * np.einsum("tm,tmd->td", coeffs, dirs)
+        del values, dirs, coeffs
     return out
 
 
@@ -151,6 +154,7 @@ def _baseline_variances(spec: ObjectiveSpec, theta_seq: np.ndarray,
         s_u = dirs.sum(axis=1)
         for pi, b in enumerate(probes):
             sq[pi, start:stop] = np.sum((scale * (s_yu - b * s_u) - target) ** 2, axis=1)
+        del values, dirs, s_yu, s_u
     return sq.mean(axis=1)
 
 

@@ -17,8 +17,7 @@ import zoar._kernels as kernels
 from zoar import bench, cli, verify
 from zoar.estimators import EstimatorConfig, c_n_constant, gamma_factor
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.optimizers import (EstimatorKind, OptimizerConfig, UpdateRule,
-                             run_optimization)
+from zoar.optimizers import Arm, EstimatorKind, OptimizerConfig, UpdateRule, run_optimization
 from zoar.sampling import DistTag
 
 
@@ -143,8 +142,10 @@ def test_criterion_8_equivalence_experiment():
     est = EstimatorConfig(mu=0.05, k=10, tag=DistTag.GAUSSIAN)
     opt = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001)
     theta0 = (kernels.uniform_doubles(808, 100) - 0.5)[None]
-    [zoo] = run_optimization(spec, EstimatorKind.VANILLA, est, opt, 400, [800], theta0)
-    [rf] = run_optimization(spec, EstimatorKind.REINFORCE_GS, est, opt, 400, [800], theta0)
+    arms = [Arm(spec, kind, est, opt, theta0)
+            for kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS)]
+    # two arms of one loop: both draw seed 800's directions and noise
+    [zoo], [rf] = run_optimization(arms, 400, [800])
     same = (zoo.f_clean.tolist() == rf.f_clean.tolist()
             and zoo.queries_per_iter == rf.queries_per_iter)
     elapsed = time.perf_counter() - tic
@@ -163,20 +164,28 @@ def test_criterion_8_equivalence_experiment():
 # master seed 0 (committed before measurement).
 
 _C9 = {}
+_C9_CELLS = [(kind, est_kind, n) for kind in (ObjectiveKind.QUADRATIC, ObjectiveKind.ACKLEY)
+             for est_kind, n in ((EstimatorKind.VANILLA, 1), (EstimatorKind.ZOAR, 1),
+                                 (EstimatorKind.ZOAR, 6))]
+
+
+def _criterion9_config(kind, est_kind, n):
+    return bench.RunConfig(
+        objective=ObjectiveSpec(kind, 100, noise_sigma=0.05),
+        estimator_kind=est_kind,
+        estimator=EstimatorConfig(mu=0.05, k=10, n=n, tag=DistTag.GAUSSIAN),
+        optimizer=OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001),
+        iterations=2000, repeats=5, master_seed=0,
+        theta0=bench.Theta0Spec(bench.Theta0Mode.UNIFORM, lo=-0.5, hi=0.5))
 
 
 def _criterion9_aggregate(kind, est_kind, n):
-    key = (kind, est_kind, n)
-    if key not in _C9:
-        cfg = bench.RunConfig(
-            objective=ObjectiveSpec(kind, 100, noise_sigma=0.05),
-            estimator_kind=est_kind,
-            estimator=EstimatorConfig(mu=0.05, k=10, n=n, tag=DistTag.GAUSSIAN),
-            optimizer=OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001),
-            iterations=2000, repeats=5, master_seed=0,
-            theta0=bench.Theta0Spec(bench.Theta0Mode.UNIFORM, lo=-0.5, hi=0.5))
-        _C9[key] = bench.aggregate(bench.run_experiment(cfg))
-    return _C9[key]
+    # the six cells share one seed stream, so one sweep runs them as the
+    # arms of one lockstep loop; each cell gets the traces it gets alone
+    if not _C9:
+        sweep = bench.run_sweep([_criterion9_config(*cell) for cell in _C9_CELLS])
+        _C9.update(zip(_C9_CELLS, map(bench.aggregate, sweep)))
+    return _C9[(kind, est_kind, n)]
 
 
 def test_criterion_9_quadratic_ordering_and_speedup():

@@ -84,7 +84,7 @@ def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch
     run_optimization = bench.run_optimization
 
     def counting(*args):
-        calls.append(len(args[5]))
+        calls.append(len(args[2]))
         return run_optimization(*args)
 
     monkeypatch.setattr(bench, "run_optimization", counting)

@@ -166,6 +166,24 @@ def test_repeated_key_is_exit_2_naming_both_lines(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,first,again", [
+    ("kind = [vanilla, zoar, vanilla]", "vanilla", "vanilla"),
+    ("tag = [sphere, Sphere]", "sphere", "Sphere"),
+    ("mu = [0.1, 0.05, 0.10]", "0.1", "0.10"),
+    ("k = [4, 04]", "4", "04"),
+])
+def test_sweep_list_repeating_a_value_is_exit_2(tmp_path, capsys, line, first, again):
+    # a repeated value used to run its cell twice into one directory and
+    # list it twice in speedup.csv
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[run]\niterations = 3\nrepeats = 1\n[estimator]\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli("sweep", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"line 5: value {again!r}" in err and f"repeats {first!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key", [
     ("objective", "noise_sigma"), ("estimator", "mu"), ("optimizer", "eta"),
     ("optimizer", "beta1"), ("optimizer", "beta2"), ("optimizer", "zeta"),

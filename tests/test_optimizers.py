@@ -8,7 +8,7 @@ import zoar._kernels as kernels
 from zoar import estimators, objectives, optimizers, sampling
 from zoar.estimators import EstimatorConfig
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
-from zoar.optimizers import (EstimatorKind, OptimizerConfig, UpdateRule, adamm_step,
+from zoar.optimizers import (Arm, EstimatorKind, OptimizerConfig, UpdateRule, adamm_step,
                              radazo_step, run_optimization, sgd_step)
 from zoar.sampling import DistTag
 
@@ -125,7 +125,7 @@ def _run(kind, est_kind, T=40, seed=3, d=8, **est_kwargs):
                              "tag": DistTag.GAUSSIAN, **est_kwargs})
     cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
     theta0 = kernels.uniform_doubles(11, d) - 0.5
-    [trace] = run_optimization(spec, est_kind, est, cfg, T, [seed], theta0[None])
+    [[trace]] = run_optimization([Arm(spec, est_kind, est, cfg, theta0[None])], T, [seed])
     return trace
 
 
@@ -205,10 +205,10 @@ def test_zoar_run_materialises_each_direction_once(monkeypatch):
         rows.clear()
         R = 3
         theta0 = (kernels.uniform_doubles(11, R * d) - 0.5).reshape(R, d)
-        traces = run_optimization(ObjectiveSpec(ObjectiveKind.QUADRATIC, d),
-                                  EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=3),
-                                  OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), T,
-                                  list(range(3, 3 + R)), theta0)
+        arm = Arm(ObjectiveSpec(ObjectiveKind.QUADRATIC, d), EstimatorKind.ZOAR,
+                  EstimatorConfig(mu=0.05, k=k, n=3),
+                  OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01), theta0)
+        [traces] = run_optimization([arm], T, list(range(3, 3 + R)))
         assert all(t.completed and t.f_clean.size == T + 1 for t in traces)
         assert sum(rows) == R * T * k and len(rows) == chunks(R)
     assert len(rows) == 5  # chunks of 7, 7, 7, 7 and 2 iterations
@@ -222,7 +222,7 @@ def _diverging_group(est_kind):
     spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, d, noise_sigma=0.1)
     est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=4e-4)
-    traces = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
+    [traces] = run_optimization([Arm(spec, est_kind, est, cfg, theta0)], 25, seeds)
     return [(t.f_clean.tolist(), t.queries_per_iter, t.status, t.diverged_at)
             for t in traces]
 
@@ -258,7 +258,8 @@ def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(objectives, "eval", spy)
-    estimators.difference_estimate(spec, theta, cfg, dirs, noise[:, 0])
+    estimators.difference_gradient(
+        estimators.query_block(spec, theta, cfg, dirs, noise[:, 0], centre=True), dirs, cfg)
     [(points, values)] = seen
     assert points.shape == (R, cfg.k + 1, 6) and np.array_equal(points[:, -1], theta)
     for r in range(R):
@@ -268,8 +269,8 @@ def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
     T = 9
     for est_kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS, EstimatorKind.ZOHS):
         seen.clear()
-        run_optimization(spec, est_kind, cfg, OptimizerConfig(eta=0.01), T, [1, 2, 3],
-                         np.zeros((R, 6)))
+        run_optimization([Arm(spec, est_kind, cfg, OptimizerConfig(eta=0.01),
+                              np.zeros((R, 6)))], T, [1, 2, 3])
         assert [p.shape for p, _ in seen] == [(R * (cfg.k + 1), 6)] * T
 
 
@@ -285,8 +286,8 @@ def test_desk_shaped_run_peak_follows_the_chunk_budget():
     step = R * (k + 1) * d * 8
     tracemalloc.start()
     try:
-        run_optimization(spec, EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=n),
-                         OptimizerConfig(eta=0.001), T, list(range(R)), theta0)
+        run_optimization([Arm(spec, EstimatorKind.ZOAR, EstimatorConfig(mu=0.05, k=k, n=n),
+                              OptimizerConfig(eta=0.001), theta0)], T, list(range(R)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,10 +295,10 @@ def test_desk_shaped_run_peak_follows_the_chunk_budget():
 
 
 def _loop_peak(arms, iterations, seeds):
-    optimizers.run_arms(arms, 1, seeds)  # allocations made once per process
+    run_optimization(arms, 1, seeds)  # allocations made once per process
     tracemalloc.start()
     try:
-        traces = optimizers.run_arms(arms, iterations, seeds)
+        traces = run_optimization(arms, iterations, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,7 +319,7 @@ def test_wide_arms_are_evaluated_one_at_a_time():
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d)
     theta0 = (kernels.uniform_doubles(3, d) * 4 - 2)[None]
     est, cfg = EstimatorConfig(mu=0.05, k=k, n=n), OptimizerConfig(eta=0.001)
-    arms = [optimizers.Arm(spec, kind, est, cfg, theta0)
+    arms = [Arm(spec, kind, est, cfg, theta0)
             for kind in (EstimatorKind.ZOAR, EstimatorKind.VANILLA)]
     assert (k + 1) * d > optimizers.BATCH_ELEMENTS
     ring, chunk, points, row = n * k * d * 8, k * d * 8, (k + 1) * d * 8, d * 8
@@ -334,8 +335,8 @@ def test_desk_shaped_sweep_peak_is_bounded_by_one_batch():
     R, d, k = 5, 100, 10
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d, noise_sigma=0.05)
     theta0 = (kernels.uniform_doubles(3, R * d) - 0.5).reshape(R, d)
-    arms = [optimizers.Arm(spec, kind, EstimatorConfig(mu=0.05, k=k, n=n),
-                           OptimizerConfig(eta=0.001), theta0)
+    arms = [Arm(spec, kind, EstimatorConfig(mu=0.05, k=k, n=n), OptimizerConfig(eta=0.001),
+                theta0)
             for kind in (EstimatorKind.VANILLA, EstimatorKind.ZOAR) for n in (1, 6)]
     assert R * (2 * (k + 1) + 2 * k) * d <= optimizers.BATCH_ELEMENTS
     assert _loop_peak(arms, 40, list(range(R))) < 1_009_000 + optimizers.BATCH_ELEMENTS * 8
@@ -349,11 +350,11 @@ def test_traces_retain_two_floats_per_logged_iteration():
     est = EstimatorConfig(mu=0.05, k=1)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=1e-3)
     theta0 = (kernels.uniform_doubles(5, R * d) - 0.5).reshape(R, d)
-    run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 3, list(range(R)), theta0)
+    arms = [Arm(spec, EstimatorKind.VANILLA, est, cfg, theta0)]
+    run_optimization(arms, 3, list(range(R)))
     tracemalloc.start()
     try:
-        traces = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, T,
-                                  list(range(R)), theta0)
+        [traces] = run_optimization(arms, T, list(range(R)))
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -368,9 +369,9 @@ def test_lockstep_traces_match_runs_alone():
     est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
     for est_kind in EstimatorKind:
-        group = run_optimization(spec, est_kind, est, cfg, 25, seeds, theta0)
+        [group] = run_optimization([Arm(spec, est_kind, est, cfg, theta0)], 25, seeds)
         for seed, x0, trace in zip(seeds, theta0, group):
-            [alone] = run_optimization(spec, est_kind, est, cfg, 25, [seed], x0[None])
+            [[alone]] = run_optimization([Arm(spec, est_kind, est, cfg, x0[None])], 25, [seed])
             assert (trace.f_clean.tolist() == alone.f_clean.tolist()
                     and trace.queries_per_iter == alone.queries_per_iter
                     and trace.status == alone.status), est_kind
@@ -391,11 +392,11 @@ def test_lockstep_moments_follow_a_row_that_leaves(monkeypatch, rule, eta, limit
     est = EstimatorConfig(mu=0.05, k=4, n=3, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=rule, eta=eta, bias_correction=rule is UpdateRule.ADAMM)
     for est_kind in EstimatorKind:
-        group = run_optimization(spec, est_kind, est, cfg, T, seeds, theta0)
+        [group] = run_optimization([Arm(spec, est_kind, est, cfg, theta0)], T, seeds)
         assert [t.completed for t in group] == [True, False, True], est_kind
         assert 1 < group[1].diverged_at < T
         for seed, x0, trace in zip(seeds, theta0, group):
-            [alone] = run_optimization(spec, est_kind, est, cfg, T, [seed], x0[None])
+            [[alone]] = run_optimization([Arm(spec, est_kind, est, cfg, x0[None])], T, [seed])
             assert (trace.f_clean.tolist() == alone.f_clean.tolist()
                     and trace.diverged_at == alone.diverged_at), est_kind
 
@@ -421,13 +422,14 @@ def test_start_past_divergence_limit_is_diverged_at_one_unqueried(monkeypatch, e
         return real(spec_, points, noise_seed)
 
     monkeypatch.setattr(objectives, "eval", spy)
-    group = run_optimization(spec, est_kind, est, cfg, T, seeds, theta0)
+    [group] = run_optimization([Arm(spec, est_kind, est, cfg, theta0)], T, seeds)
     # one evaluation per step, of the two live rows' queries
     assert queried == [2 * group[0].queries_per_iter] * T
     assert group[1].diverged_at == 1
     assert group[1].f_clean.tolist() == [objectives.clean_value(spec, theta0[1])]
     for r in (0, 2):
-        [alone] = run_optimization(spec, est_kind, est, cfg, T, [seeds[r]], theta0[r:r + 1])
+        [[alone]] = run_optimization([Arm(spec, est_kind, est, cfg, theta0[r:r + 1])], T,
+                                     [seeds[r]])
         assert group[r].completed and group[r].f_clean.tolist() == alone.f_clean.tolist()
 
 
@@ -436,15 +438,15 @@ def test_run_takes_a_sequence_of_seeds():
     est, cfg = EstimatorConfig(mu=0.05, k=2), OptimizerConfig()
     for seeds, theta0 in [(1, np.zeros(3)), (1, np.zeros((1, 3))), ([1, 2], np.zeros((1, 3)))]:
         with pytest.raises(ValueError, match="sequence of run seeds"):
-            run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 2, seeds, theta0)
+            run_optimization([Arm(spec, EstimatorKind.VANILLA, est, cfg, theta0)], 2, seeds)
 
 
 def test_divergence_is_recorded_not_raised():
     spec = ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4)
     est = EstimatorConfig(mu=0.05, k=4, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=1e6)
-    [trace] = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 50, [1],
-                               np.full((1, 4), 1.5))
+    [[trace]] = run_optimization([Arm(spec, EstimatorKind.VANILLA, est, cfg,
+                                      np.full((1, 4), 1.5))], 50, [1])
     assert trace.status == "diverged"
     assert trace.diverged_at is not None
     assert trace.f_clean.size == trace.diverged_at <= 50
@@ -455,7 +457,8 @@ def test_gap_decreases_on_quadratic_sgd():
     est = EstimatorConfig(mu=0.05, k=8, tag=DistTag.GAUSSIAN)
     cfg = OptimizerConfig(rule=UpdateRule.SGD, eta=0.01)
     theta0 = kernels.uniform_doubles(5, 20) * 2 - 1
-    [trace] = run_optimization(spec, EstimatorKind.VANILLA, est, cfg, 400, [9], theta0[None])
+    [[trace]] = run_optimization([Arm(spec, EstimatorKind.VANILLA, est, cfg, theta0[None])],
+                                 400, [9])
     assert trace.f_clean[-1] < trace.f_clean[0]
 
 
@@ -475,7 +478,7 @@ def test_chunk_rows_are_views_until_a_row_leaves():
 def test_arms_of_one_loop_must_share_the_direction_stream():
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
     cfg, theta0 = OptimizerConfig(), np.zeros((2, 3))
-    arms = [optimizers.Arm(spec, EstimatorKind.VANILLA, EstimatorConfig(mu=0.05, k=k),
-                           cfg, theta0) for k in (2, 3)]
+    arms = [Arm(spec, EstimatorKind.VANILLA, EstimatorConfig(mu=0.05, k=k), cfg, theta0)
+            for k in (2, 3)]
     with pytest.raises(ValueError, match="must share k"):
-        optimizers.run_arms(arms, 2, [1, 2])
+        run_optimization(arms, 2, [1, 2])

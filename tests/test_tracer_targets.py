@@ -37,14 +37,15 @@ def test_tracer_sees_the_optimisation_loop(monkeypatch):
     # whose metrics would then read 0
     tracer = _load_tracer(monkeypatch)
     kinds = (EstimatorKind.ZOAR, EstimatorKind.ZOHS)
+    cfgs = [bench.RunConfig(
+        objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, 5, noise_sigma=0.05),
+        estimator_kind=kind,
+        estimator=EstimatorConfig(mu=0.05, k=3, n=2, tag=DistTag.GAUSSIAN),
+        optimizer=OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01),
+        iterations=4, repeats=2) for kind in kinds]
     with tracer.Tracer() as traced:
-        for kind in kinds:
-            bench.run_experiment(bench.RunConfig(
-                objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, 5, noise_sigma=0.05),
-                estimator_kind=kind,
-                estimator=EstimatorConfig(mu=0.05, k=3, n=2, tag=DistTag.GAUSSIAN),
-                optimizer=OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01),
-                iterations=4, repeats=2))
+        for cfg in cfgs:
+            bench.run_experiment(cfg)
     metrics = tracer.layer_metrics(traced.spans)
     silent = [name for name in ("optimizers.run_optimization", "optimizers.radazo_step",
                                 "estimators.HistoryBuffer.push_block",
@@ -54,3 +55,8 @@ def test_tracer_sees_the_optimisation_loop(monkeypatch):
     assert silent == []
     for kind in kinds:
         assert metrics[f"bench.run_experiment.{kind.value}-n2.ms_per_iter"] > 0
+
+    # a sweep reaches the loop through the same traced entry
+    with tracer.Tracer() as traced:
+        bench.run_sweep(cfgs)
+    assert tracer.layer_metrics(traced.spans).get("optimizers.run_optimization.calls", 0) > 0

@@ -353,3 +353,30 @@ def test_objective_equivalence_peak_is_bounded():
         ObjectiveSpec(ObjectiveKind.ACKLEY, 5), 0.3 * np.ones(5), 0.05,
         DistTag.GAUSSIAN, 100000, 41))
     assert peak < 16 * MIB
+
+
+@pytest.mark.parametrize("check", [
+    lambda spec, theta, cfg: verify.check_history_estimator_mean(spec, theta, cfg, 3000, 8),
+    lambda spec, theta, cfg: verify.check_optimal_baseline(
+        spec, theta, cfg, 0.50125 + 0.05 * np.arange(-4, 5), 3000, 8),
+], ids=["history_estimator_mean", "optimal_baseline"])
+def test_history_checks_hold_no_chunk_while_the_next_is_drawn(monkeypatch, check):
+    # five chunks of 655 trials: the traced size at each draw's entry is
+    # the one the first draw found, so nothing of the previous chunk (its
+    # 0.5 MB of directions, its values, a consumer's reduction of them) is
+    # still held; it used to be held by the sampler and by its consumer
+    theta = np.zeros((1, 10))
+    theta[0, 0] = 1.0
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 10)
+    cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
+    directions = estimators.directions
+    held = []
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return directions(*args)
+
+    monkeypatch.setattr(estimators, "directions", spy)
+    _traced_peak(lambda: check(spec, theta, cfg))
+    assert len(held) == 5
+    assert max(held[1:]) - held[0] < 64 << 10
