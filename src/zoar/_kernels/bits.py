@@ -44,13 +44,26 @@ def fold(parent: int, data: int) -> int:
     return mix64(((parent & MASK64) ^ inner) + GOLDEN & MASK64)
 
 
+def _mix64_head_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """All but the last step of the SplitMix64 finaliser, run in place on
+    an owned, at least 1-d uint64 array; returns ``z``.  The shifts go
+    into ``scratch``, an array of z's shape, when one is given.
+
+    The last step, ``z ^= z >> 31``, is linear over XOR (a logical shift
+    of an XOR is the XOR of the shifts), so a caller that XORs finalised
+    words together may run it once on their XOR instead.
+    """
+    z ^= np.right_shift(z, _U30, out=scratch)
+    z *= _U_M1
+    z ^= np.right_shift(z, _U27, out=scratch)
+    z *= _U_M2
+    return z
+
+
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser run in place on an owned, at least 1-d uint64
     array; returns ``z``."""
-    z ^= z >> _U30
-    z *= _U_M1
-    z ^= z >> _U27
-    z *= _U_M2
+    _mix64_head_inplace(z)
     z ^= z >> _U31
     return z
 

@@ -138,7 +138,7 @@ def build_run_config(values: dict, seed_override: int | None = None) -> bench.Ru
                                   get("objective", "dim"),
                                   get("objective", "noise_sigma"))
         kind_name = get("estimator", "kind")
-        if kind_name not in ("vanilla", "zohs", "zoar"):
+        if kind_name.strip().lower() not in ("vanilla", "zohs", "zoar"):
             raise ConfigError(f"bad value for estimator.kind: {kind_name!r}")
         estimator_kind = EstimatorKind.parse(kind_name)
         estimator = EstimatorConfig(mu=get("estimator", "mu"),

@@ -13,11 +13,13 @@ scalar chain.
 """
 
 import enum
+import functools
 
 import numpy as np
 
 from . import _kernels as kernels
 from ._kernels import fold, np_fold
+from ._kernels.bits import _U31, _U_GOLDEN, _mix64_head_inplace, _mix64_inplace
 
 # namespace labels for seed derivation; fixed, part of the stream contract
 NS_DIRECTION = 0x01
@@ -87,18 +89,48 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return fold(fold(master_seed, NS_TRIAL), trial)
 
 
+@functools.lru_cache(maxsize=16)
+def _position_keys(dim: int) -> np.ndarray:
+    """``mix64(j*GOLDEN + GOLDEN)`` for positions j = 1..dim, the inner
+    half of ``fold(word_j, j*GOLDEN)``; read-only, built once per dim."""
+    keys = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(kernels.GOLDEN)
+    keys += np.uint64(kernels.GOLDEN)
+    _mix64_inplace(keys)
+    keys.flags.writeable = False
+    return keys
+
+
 def point_digest(theta: np.ndarray) -> np.ndarray:
     """Order-sensitive 64-bit digest of a parameter vector's bit pattern.
 
-    Works on (..., d) arrays, digesting along the last axis.  Used to key
-    the observation-noise draw on the evaluation point.
+    Works on (..., d) arrays, digesting along the last axis: the digest
+    of a vector with words w_1..w_d is the XOR over j of
+    ``fold(w_j, j*GOLDEN)``.  Used to key the observation-noise draw on
+    the evaluation point.
+
+    The folds run a block of whole rows at a time, at most 2**13 words
+    (64 KiB) unless one row is longer, in two scratch arrays allocated
+    once per call; each block is XORed into its rows' digests before the
+    next is folded, so no array the size of the batch is made.  The
+    fold's last step, ``z ^= z >> 31``, runs once on each digest (see
+    :func:`_kernels.bits._mix64_head_inplace`).
     """
     theta = np.ascontiguousarray(theta, dtype=np.float64)
-    words = theta.view(np.uint64)
-    pos = (np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
-           * np.uint64(kernels.GOLDEN))
-    mixed = np_fold(words, pos)
-    return np.bitwise_xor.reduce(mixed, axis=-1)
+    d = theta.shape[-1]
+    words = theta.view(np.uint64).reshape(-1, d)
+    keys = _position_keys(d)
+    rows = max(1, (1 << 13) // max(1, d))
+    buf = np.empty((min(rows, words.shape[0]), d), dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    out = np.empty(words.shape[0], dtype=np.uint64)
+    for start in range(0, words.shape[0], rows):
+        block = words[start:start + rows]
+        z = np.bitwise_xor(block, keys, out=buf[:block.shape[0]])
+        z += _U_GOLDEN
+        _mix64_head_inplace(z, scratch[:block.shape[0]])
+        np.bitwise_xor.reduce(z, axis=1, out=out[start:start + rows])
+    out ^= out >> _U31
+    return out.reshape(theta.shape[:-1])[()]
 
 
 def as_params(values, dim: int | None = None) -> np.ndarray:

@@ -22,7 +22,9 @@ kernel's few dozen elementwise passes run over them.  Every trial's work
 is independent: a chunk reduces each trial to a row of its own, and each
 reduction over trials runs on the assembled (trials, ...) array, so the
 reports do not depend on the chunk size.  No check holds more than a
-few (trials, d) or (probes, trials) arrays besides one chunk.
+few (trials, d), (probes, trials) or (trials,) arrays besides one chunk:
+each chunk's arrays are dropped before the next chunk is drawn, also
+between the two seed streams of the objective-equivalence check.
 """
 
 import json
@@ -158,6 +160,22 @@ def _baseline_variances(spec: ObjectiveSpec, theta_seq: np.ndarray,
     return sq.mean(axis=1)
 
 
+def _perturbed_values(spec: ObjectiveSpec, theta: np.ndarray, mu: float,
+                      tag: DistTag, root: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """F(theta + mu*u) for the direction u of each seed ``fold(root, c)``,
+    c in ``counters``.
+
+    The points are built in the directions' own array (``u *= mu; u +=
+    theta`` gives every entry the IEEE operations of ``theta + mu*u``),
+    and only the values outlive the call, so one stream's chunk is gone
+    before the other's is drawn.
+    """
+    u = kernels.materialize_block(kernels.np_fold(root, counters), int(tag), spec.dim)
+    u *= mu
+    u += theta
+    return objectives.clean_value(spec, u)
+
+
 def _require_trials(trials: int) -> None:
     if trials < 2:
         raise ValueError(f"a Monte-Carlo check needs at least 2 trials, got {trials}")
@@ -186,12 +204,8 @@ def check_objective_equivalence(spec: ObjectiveSpec, theta, mu: float,
     values_b = np.empty(trials)
     for start, size in _chunked(trials, spec.dim):
         counters = np.arange(start, start + size, dtype=np.uint64)
-        seeds_a = kernels.np_fold(root_a, counters)
-        seeds_b = kernels.np_fold(root_b, counters)
-        actions = theta[None, :] + mu * kernels.materialize_block(seeds_a, int(tag), spec.dim)
-        values_a[start:start + size] = objectives.clean_value(spec, actions)
-        dirs = kernels.materialize_block(seeds_b, int(tag), spec.dim)
-        values_b[start:start + size] = objectives.clean_value(spec, theta[None, :] + mu * dirs)
+        values_a[start:start + size] = _perturbed_values(spec, theta, mu, tag, root_a, counters)
+        values_b[start:start + size] = _perturbed_values(spec, theta, mu, tag, root_b, counters)
     diff = abs(float(values_a.mean()) - float(values_b.mean()))
     se = math.sqrt(values_a.var(ddof=1) / trials + values_b.var(ddof=1) / trials)
     return CheckReport("objective_equivalence", diff <= 5.0 * se, diff, 5.0 * se,

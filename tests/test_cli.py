@@ -198,6 +198,19 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, section, key, raw):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind,code", [
+    ("Vanilla", 0), ("ZOAR", 0), ("zoHS", 0), ("reinforce_gs", 2), ("REINFORCE_GS", 2),
+])
+def test_estimator_kind_ignores_case(tmp_path, capsys, kind, code):
+    # estimator.kind was the one case-sensitive name of the grammar:
+    # `kind = Vanilla` was exit 2; reinforce_gs is not a run kind in any case
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL.replace("kind = zoar", f"kind = {kind}"))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == code
+    if code:
+        assert f"bad value for estimator.kind: {kind!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,key", [
     ("objective", "dim"), ("estimator", "k"), ("estimator", "n"),
 ])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,40 @@ def test_iteration_seeds_match_scalar_chain(masters, first, count, k):
     assert dirs.tolist() == [[[sampling.direction_seed(m, t, j) for j in range(1, k + 1)]
                               for t in its] for m in masters]
     assert noise.tolist() == [[sampling.noise_seed(m, t) for t in its] for m in masters]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5), (90, 100), (2, 9000)],
+                         ids=["one-block", "rows-across-blocks", "row-over-a-block"])
+def test_point_digest_is_the_xor_of_position_folds(shape):
+    # the digest folds 2**13-word blocks of whole rows (or one longer row)
+    # and runs the fold's last xorshift once per row; the result is the
+    # per-word definition, XOR_j fold(w_j, j*GOLDEN)
+    x = (kernels.uniform_doubles(17, math.prod(shape)) - 0.5).reshape(shape)
+    rows = x.reshape(-1, shape[-1]).view(np.uint64)
+    want = []
+    for row in rows.tolist():
+        acc = 0
+        for j, w in enumerate(row, 1):
+            acc ^= kernels.fold(w, j * kernels.GOLDEN & kernels.MASK64)
+        want.append(acc)
+    got = sampling.point_digest(x)
+    assert got.shape == shape[:-1]
+    assert got.reshape(-1).tolist() == want
+
+
+def test_point_digest_holds_no_batch_sized_copy():
+    # a (2000, 100) batch is 1.6 MB; the digest peaked at 3.2 MB, two
+    # arrays of that size at once (the words' folds and a shift
+    # temporary), and now at 0.21 MB: two scratch blocks of at most 2**13
+    # words, NumPy's 8192-entry broadcast buffer and the digests
+    x = (kernels.uniform_doubles(5, 2000 * 100) - 0.5).reshape(2000, 100)
+    tracemalloc.start()
+    try:
+        sampling.point_digest(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 4
 
 
 def test_point_digest_order_sensitive():
