@@ -42,12 +42,13 @@ terms, which NumPy would add pairwise, a loop adds one term at a time.
 A desk step (d = 100, 5 runs, a ring of 60) takes the single pass; a
 d = 10**4 ring takes the loop, whose (d,) temporaries stay in cache.
 
-The array-level functions (:func:`query_block`, :func:`difference_gradient`,
-:func:`zoar_estimate`, :func:`zohs_estimate` and the ring) take any
-leading axes before the last one: the optimisation loop passes R runs at
-once as (R, d) parameters, and every row gets the bits it would get
-alone.  ``fd_estimate`` and the score-function forms are the one-run case,
-keyed on (iteration, master seed).
+The array-level functions (:func:`query_block`, :func:`difference_gradient`
+and :func:`zohs_estimate`) take any leading axes before the last one: the
+optimisation loop passes R runs at once as (R, d) parameters, and every
+row gets the bits it would get alone.  The ring holds R runs (R = 1 for
+one), and :func:`zoar_estimate` gives one row per run.  ``fd_estimate``
+and the score-function forms are the one-run case, keyed on (iteration,
+master seed).
 """
 
 import math
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from . import sampling
+from . import objectives, sampling
 from .sampling import DistTag
 
 
@@ -96,34 +97,29 @@ class EstimatorConfig:
 
 
 class HistoryBuffer:
-    """Ring of the n*k most recent queries, read oldest first.
+    """Ring of the n*k most recent queries of R runs in lockstep, read
+    oldest first.
 
     All queries are drawn from one direction law ``tag``.  ``values``
-    (n*k,) holds their observed values, a view that the next
+    (R, n*k) holds their observed values, a view that the next
     ``push_block`` overwrites; ``spans()`` gives the matching directions
-    as at most two (count, dim) views.  ``push_block`` appends exactly one
-    iteration's block of k queries and drops the oldest block once the
-    ring holds n*k rows.  The new directions go into the oldest block's
-    slot, so a stored direction never moves; only the values, k per
-    block, shift.
-
-    With ``rows=R`` the ring serves R runs in lockstep: each view of
-    ``spans()`` is (count, R, dim), ``values`` (R, n*k), and every block carries
-    one row per run.  Directions are stored query-major, so the query-j
-    slice of all R runs is one contiguous (R, dim) array.
+    as at most two (count, R, dim) views.  ``push_block`` appends exactly
+    one iteration's block of k queries per run and drops the oldest block
+    once the ring holds n*k queries.  The new directions go into the
+    oldest block's slot, so a stored direction never moves; only the
+    values, k per block, shift.  Directions are stored query-major, so
+    the query-j slice of all R runs is one contiguous (R, dim) array.
     """
 
-    def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int,
-                 rows: int | None = None):
+    def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int, rows: int):
         if block_size < 1 or depth < 1:
             raise ValueError("block_size and depth must be >= 1")
         self.block_size = block_size
         self.depth = depth
         self.tag = DistTag(tag)
         self.dim = dim
-        self._lead = () if rows is None else (rows,)
-        self._dirs = np.zeros((block_size * depth,) + self._lead + (dim,))
-        self._values = np.zeros(self._lead + (block_size * depth,))
+        self._dirs = np.zeros((block_size * depth, rows, dim))
+        self._values = np.zeros((rows, block_size * depth))
         self._filled = 0
         self._next = 0  # slot of the next block, the oldest once the ring is full
 
@@ -132,7 +128,7 @@ class HistoryBuffer:
 
     def spans(self) -> list[np.ndarray]:
         """The stored directions oldest first, as at most two contiguous
-        (count, ..., dim) views of the ring: the oldest block's slot to the
+        (count, R, dim) views of the ring: the oldest block's slot to the
         end, then the start up to it."""
         lo = self._next * self.block_size
         if self._filled < self._dirs.shape[0]:
@@ -141,29 +137,27 @@ class HistoryBuffer:
 
     @property
     def values(self) -> np.ndarray:
-        return self._values[..., self._values.shape[-1] - self._filled:]
+        return self._values[:, self._values.shape[1] - self._filled:]
 
     def push_block(self, dirs, values) -> None:
-        k = self.block_size
-        if (np.shape(dirs) != self._lead + (k, self.dim)
-                or np.shape(values) != self._lead + (k,)):
+        rows, k = self._values.shape[0], self.block_size
+        if np.shape(dirs) != (rows, k, self.dim) or np.shape(values) != (rows, k):
             raise ValueError(f"expected {k} directions of dimension {self.dim} and "
-                             f"{k} values per row, got {np.shape(dirs)} and "
-                             f"{np.shape(values)}")
+                             f"{k} values for each of {rows} rows, got "
+                             f"{np.shape(dirs)} and {np.shape(values)}")
         if not np.all(np.isfinite(values)):
             raise ValueError("query values must be finite")
         lo = self._next * k
-        self._dirs[lo:lo + k] = np.moveaxis(np.asarray(dirs), -2, 0)
-        self._values[..., :-k] = self._values[..., k:]
-        self._values[..., -k:] = values
+        self._dirs[lo:lo + k] = np.moveaxis(np.asarray(dirs), 1, 0)
+        self._values[:, :-k] = self._values[:, k:]
+        self._values[:, -k:] = values
         self._next = (self._next + 1) % self.depth
         self._filled = min(self._filled + k, self._dirs.shape[0])
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows of a lockstep ring whose ``mask`` entry is False."""
+        """Drop the rows whose ``mask`` entry is False."""
         self._dirs = self._dirs[:, mask]
         self._values = self._values[mask]
-        self._lead = (self._values.shape[0],)
 
 
 # product entries (terms x ... x d) up to which _weighted_sum forms a
@@ -211,13 +205,13 @@ def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
     row's points share its noise seed.  With ``centre`` the centre theta
     is evaluated in the same call, as point k, and the (..., k+1) values
     are returned; evaluation is shape-invariant, so the centre gets the
-    bits of a lone ``eval(theta, noise_seeds)``.
+    bits of a lone ``objectives.eval(obj, theta, noise_seeds)``.
     """
     k, d = dirs.shape[-2:]
     lead = np.broadcast_shapes(theta.shape[:-1], dirs.shape[:-2])
     points = np.empty(lead + (k + int(centre), d))
     write_points(points, theta, cfg.mu, dirs, centre)
-    return obj.eval(points, noise_seeds)
+    return objectives.eval(obj, points, noise_seeds)
 
 
 def _weighted_sum(coeffs: np.ndarray, spans) -> np.ndarray:
@@ -353,8 +347,8 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
 
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
     averaged baseline, the mean of every stored value; the stored
-    directions are summed oldest first.  Consumes no new queries.  A
-    lockstep ring gives one (dim,) estimate per row.
+    directions are summed oldest first.  Consumes no new queries.
+    Returns the (R, dim) estimates, one row per run of the ring.
     """
     m = len(buffer)
     if m < 2:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import _kernels as kernels
 from . import sampling
-from .sampling import DistTag
 
 
 class ObjectiveKind(enum.Enum):
@@ -54,12 +53,6 @@ class ObjectiveSpec:
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
             raise ValueError(f"noise_sigma must be finite and nonnegative, "
                              f"got {self.noise_sigma}")
-
-    def eval(self, theta, noise_seed=0):
-        return eval(self, theta, noise_seed)
-
-    def grad_oracle(self, theta):
-        return grad_oracle(self, theta)
 
 
 def _ackley(theta: np.ndarray) -> np.ndarray:
@@ -105,6 +98,8 @@ _FORMULAS = {
 
 def _validated(spec: ObjectiveSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim == 0:
+        raise ValueError("an evaluation point needs at least one axis, got a scalar")
     if theta.shape[-1] != spec.dim:
         raise ValueError(f"expected dimension {spec.dim}, got {theta.shape[-1]}")
     if not np.all(np.isfinite(theta)):
@@ -128,13 +123,13 @@ def eval(spec: ObjectiveSpec, theta, noise_seed=0):
     ``eval(points, seeds)[r]`` is ``eval(points[r], seeds[r])`` bit for bit.
     """
     theta = _validated(spec, theta)
+    if np.shape(noise_seed) != theta.shape[:-1][:np.ndim(noise_seed)]:
+        raise ValueError(f"noise seeds of shape {np.shape(noise_seed)} do not match "
+                         f"points of shape {theta.shape}")
     value = _FORMULAS[spec.kind](theta)
     if spec.noise_sigma > 0.0:
         digests = np.atleast_1d(sampling.point_digest(theta))
         seeds = np.asarray(noise_seed, dtype=np.uint64)
-        if seeds.shape != digests.shape[:seeds.ndim]:
-            raise ValueError(f"noise seeds of shape {seeds.shape} do not match "
-                             f"points of shape {theta.shape}")
         seeds = seeds.reshape(seeds.shape + (1,) * (digests.ndim - seeds.ndim))
         point_seeds = kernels.np_fold(seeds, digests).reshape(-1)
         z = kernels.materialize_block(point_seeds, kernels.GAUSSIAN, 1)
@@ -155,40 +150,3 @@ def grad_oracle(spec: ObjectiveSpec, theta) -> np.ndarray:
     plus[np.arange(d), np.arange(d)] += h
     minus[np.arange(d), np.arange(d)] -= h
     return (clean_value(spec, plus) - clean_value(spec, minus)) / (2.0 * h)
-
-
-@dataclass(frozen=True)
-class SmoothedValue:
-    """Monte-Carlo estimate of the smoothed objective at one point."""
-
-    mean: float
-    stderr: float
-    trials: int
-    analytic: float | None = None
-
-
-def smoothed_value_oracle(spec: ObjectiveSpec, theta, mu: float, tag: DistTag,
-                          trials: int, seed: int) -> SmoothedValue:
-    """Estimate E_u[F(theta + mu*u)] over the given direction distribution.
-
-    For the Quadratic objective under the unit-sphere distribution the
-    closed form ``0.5*||theta||^2 + 0.5*mu^2`` is attached for
-    cross-checking.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    theta = sampling.as_params(theta, spec.dim)
-    analytic = None
-    if spec.kind is ObjectiveKind.QUADRATIC and tag is DistTag.SPHERE:
-        analytic = 0.5 * float(np.dot(theta, theta)) + 0.5 * mu * mu
-    if mu == 0.0:
-        exact = clean_value(spec, theta)
-        return SmoothedValue(mean=exact, stderr=0.0, trials=trials, analytic=analytic)
-    seeds = kernels.np_fold(
-        np.uint64(sampling.fold(seed, sampling.NS_TRIAL)),
-        np.arange(trials, dtype=np.uint64))
-    dirs = kernels.materialize_block(seeds, int(tag), spec.dim)
-    values = clean_value(spec, theta[None, :] + mu * dirs)
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return SmoothedValue(mean=float(values.mean()), stderr=stderr,
-                         trials=trials, analytic=analytic)

@@ -483,6 +483,91 @@ def _trace(gaps, queries_per_iter, status="completed"):
                  diverged_at=len(gaps) if status == "diverged" else None)
 
 
+# the two sweep shapes of the benchmark in perfbench/workloads.py, copied
+# here because tier-1 does not import perfbench
+DESK_SWEEP = """\
+[objective]
+kind = quadratic
+dim = 100
+noise_sigma = 0.05
+
+[estimator]
+kind = [vanilla, zoar]
+tag = gaussian
+mu = 0.05
+k = 10
+n = [1, 6]
+
+[optimizer]
+rule = radazo
+eta = 0.001
+
+[run]
+iterations = 100
+repeats = 5
+master_seed = {master_seed}
+theta0_mode = uniform
+theta0_lo = -0.5
+theta0_hi = 0.5
+"""
+
+WIDE_SWEEP = """\
+[objective]
+kind = quadratic
+dim = 10000
+noise_sigma = 0
+
+[estimator]
+kind = [vanilla, zoar]
+tag = gaussian
+mu = 0.05
+k = 10
+n = 6
+
+[optimizer]
+rule = radazo
+eta = 0.001
+
+[run]
+iterations = 20
+repeats = 2
+master_seed = {master_seed}
+theta0_mode = uniform
+theta0_lo = -2
+theta0_hi = 2
+"""
+
+
+@pytest.mark.parametrize("config,groups,calls", [
+    (DESK_SWEEP, [[0, 1, 2, 3]], [(4, 5)]),
+    (WIDE_SWEEP, [[0, 1]], [(2, 1), (2, 1)]),
+], ids=["desk", "wide"])
+def test_benchmark_sweeps_lockstep_plans(tmp_path, monkeypatch, config, groups, calls):
+    # every cell of each sweep shares one seed stream, so each sweep is one
+    # group of arms.  bench._group_rows charges every cell n*k*d doubles
+    # per repeat: desk's 5 repeats fit LOCKSTEP_BUDGET, so they run in one
+    # call; wide's n*k*d*8 = 4.8 MB does not, so each call runs one repeat
+    plans, runs = [], []
+    arm_groups, run_optimization = bench._arm_groups, bench.run_optimization
+
+    def spy_groups(cfgs):
+        plans.append(arm_groups(cfgs))
+        return plans[-1]
+
+    def spy_run(arms, iterations, seeds):
+        runs.append((len(arms), len(seeds)))
+        return run_optimization(arms, iterations, seeds)
+
+    monkeypatch.delenv("ZOAR_SEED", raising=False)
+    monkeypatch.setattr(bench, "_arm_groups", spy_groups)
+    monkeypatch.setattr(bench, "run_optimization", spy_run)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config.format(master_seed=11))
+    assert run_cli("sweep", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert plans == [groups]
+    assert runs == calls
+
+
 def test_sweep_queries_speedup_excludes_diverged_repeats(tmp_path, monkeypatch):
     # reference cell (n=1) reaches its final gap 1.0 at iteration 3 after
     # 30 queries; the candidate cell (n=2) reaches it at iteration 1 after

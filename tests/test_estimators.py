@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zoar._kernels as kernels
-from zoar import estimators, sampling, verify
+from zoar import estimators, objectives, sampling, verify
 from zoar.estimators import (EstimatorConfig, HistoryBuffer, InsufficientHistoryError,
                              c_n_constant, fd_estimate, gamma_factor,
                              reinforce_gs_estimate, reinforce_is_estimate,
@@ -41,24 +41,11 @@ def master_for_coord_dirs(dim: int, indices, iteration: int = 1) -> int:
     raise AssertionError("no master seed found")
 
 
-class LinearObjective:
-    """f(theta) = a . theta, for hand-checking estimators."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.dim = self.a.shape[0]
-
-    def eval(self, theta, noise_seed=0):
-        return np.asarray(theta) @ self.a
-
-
-class ConstantObjective:
-    def __init__(self, c, dim):
-        self.c, self.dim = c, dim
-
-    def eval(self, theta, noise_seed=0):
-        theta = np.asarray(theta)
-        return self.c if theta.ndim == 1 else np.full(theta.shape[0], self.c)
+def formula_objective(monkeypatch, formula, dim):
+    """A clean spec evaluated by ``formula`` (points (..., dim) to values
+    (...)), for hand-checking estimators through objectives.eval."""
+    monkeypatch.setitem(objectives._FORMULAS, ObjectiveKind.QUADRATIC, formula)
+    return ObjectiveSpec(ObjectiveKind.QUADRATIC, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +61,18 @@ def test_fd_hand_example_forced_direction():
     assert np.array_equal(grad, np.array([0.5, 0.0]))
 
 
-def test_fd_constant_objective_zero():
+def test_fd_constant_objective_zero(monkeypatch):
     cfg = EstimatorConfig(mu=0.3, k=5, tag=DistTag.GAUSSIAN)
-    grad, _ = fd_estimate(ConstantObjective(4.2, 6), np.ones(6), cfg, 1, 99)
+    spec = formula_objective(monkeypatch, lambda theta: np.full(theta.shape[:-1], 4.2), 6)
+    grad, _ = fd_estimate(spec, np.ones(6), cfg, 1, 99)
     assert np.array_equal(grad, np.zeros(6))
 
 
-def test_fd_linear_objective_forced_direction():
+def test_fd_linear_objective_forced_direction(monkeypatch):
     master = master_for_coord_dirs(2, [0])
     cfg = EstimatorConfig(mu=0.7, k=1, tag=DistTag.COORDINATE)
-    grad, _ = fd_estimate(LinearObjective([2.0, 3.0]), np.zeros(2), cfg, 1, master)
+    spec = formula_objective(monkeypatch, lambda theta: theta @ np.array([2.0, 3.0]), 2)
+    grad, _ = fd_estimate(spec, np.zeros(2), cfg, 1, master)
     assert np.allclose(grad, [2.0, 0.0], rtol=0, atol=1e-12)
 
 
@@ -135,7 +124,7 @@ def test_literal_score_function_matches_fd_within_ulp_bound(kind, sigma):
         dirs = kernels.materialize_block(seeds, int(DistTag.GAUSSIAN), d)
         nseed = sampling.noise_seed(master, t)
         x = theta + mu * dirs
-        dy = np.atleast_1d(spec.eval(x, nseed)) - spec.eval(theta, nseed)
+        dy = objectives.eval(spec, x, nseed) - objectives.eval(spec, theta, nseed)
         score = np.sum((x - theta) / (mu * mu) * dy[:, None], axis=0) / k
 
         terms = (np.abs(dy)[:, None] / (mu * mu)
@@ -224,35 +213,38 @@ def test_is_overflow_returns_unscaled_with_flag():
 # history buffer
 
 def _ring(k, n, dim=2):
-    return HistoryBuffer(block_size=k, depth=n, tag=DistTag.COORDINATE, dim=dim)
+    """A ring of one run."""
+    return HistoryBuffer(block_size=k, depth=n, tag=DistTag.COORDINATE, dim=dim, rows=1)
 
 
 def _rows(labels, dim=2):
-    """One direction row per label, every entry equal to its label."""
-    return np.repeat(np.asarray(labels, dtype=np.float64)[:, None], dim, axis=1)
+    """One run's (1, len(labels), dim) block, every entry of direction j
+    equal to label j."""
+    return np.repeat(np.asarray(labels, dtype=np.float64)[None, :, None], dim, axis=2)
 
 
 def _coord_rows(dim, *indices):
-    """The basis directions e_i, materialised from seeds that select them."""
+    """One run's block of the basis directions e_i, materialised from
+    seeds that select them."""
     seeds = np.array([coord_seed(dim, i) for i in indices], dtype=np.uint64)
-    return kernels.materialize_block(seeds, int(DistTag.COORDINATE), dim)
+    return kernels.materialize_block(seeds, int(DistTag.COORDINATE), dim)[None]
 
 
 def _stacked(buf):
-    """The ring's directions oldest first, as one (..., n*k, dim) array."""
+    """The ring's directions oldest first, as one (R, n*k, dim) array."""
     return np.moveaxis(np.concatenate(buf.spans()), 0, -2)
 
 
 def test_push_block_ring_semantics():
     buf = _ring(3, 2)
-    buf.push_block(_rows([0, 1, 2]), [0.0, 1.0, 2.0])
+    buf.push_block(_rows([0, 1, 2]), [[0.0, 1.0, 2.0]])
     assert len(buf) == 3
-    assert _stacked(buf).shape == (3, 2)
-    buf.push_block(_rows([3, 4, 5]), [3.0, 4.0, 5.0])
+    assert _stacked(buf).shape == (1, 3, 2)
+    buf.push_block(_rows([3, 4, 5]), [[3.0, 4.0, 5.0]])
     assert len(buf) == 6
-    buf.push_block(_rows([6, 7, 8]), [6.0, 7.0, 8.0])
+    buf.push_block(_rows([6, 7, 8]), [[6.0, 7.0, 8.0]])
     assert len(buf) == 6
-    assert buf.values.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert buf.values.tolist() == [[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]]
     assert np.array_equal(_stacked(buf), _rows([3, 4, 5, 6, 7, 8]))
     assert _stacked(buf).dtype == np.float64
 
@@ -260,18 +252,20 @@ def test_push_block_ring_semantics():
 def test_push_block_size_checked():
     buf = _ring(2, 2)
     with pytest.raises(ValueError):
-        buf.push_block(_rows([1]), [1.0])
+        buf.push_block(_rows([1]), [[1.0]])
     with pytest.raises(ValueError):
-        buf.push_block(_rows([1, 2]), [1.0])
+        buf.push_block(_rows([1, 2]), [[1.0]])
     with pytest.raises(ValueError):
-        buf.push_block(_rows([1, 2], dim=3), [1.0, 2.0])
+        buf.push_block(_rows([1, 2], dim=3), [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        buf.push_block(_rows([1, 2])[0], [1.0, 2.0])
     assert len(buf) == 0
 
 
 def test_depth_one_keeps_latest_block():
     buf = _ring(2, 1)
     for t in range(1, 5):
-        buf.push_block(_rows([t, t]), [float(t), float(t)])
+        buf.push_block(_rows([t, t]), [[float(t), float(t)]])
         assert np.array_equal(_stacked(buf), _rows([t, t]))
 
 
@@ -281,8 +275,8 @@ def test_buffer_holds_most_recent_iterations(k, n, total):
     # each block's directions carry the iteration that pushed it
     buf = _ring(k, n)
     for t in range(1, total + 1):
-        buf.push_block(_rows([t] * k), [0.0] * k)
-    kept = sorted(set(_stacked(buf)[:, 0].tolist()))
+        buf.push_block(_rows([t] * k), [[0.0] * k])
+    kept = sorted(set(_stacked(buf)[0, :, 0].tolist()))
     assert kept == list(range(max(1, total - n + 1), total + 1))
     assert len(buf) == k * min(n, total)
 
@@ -291,21 +285,21 @@ def test_zoar_baseline_is_mean_of_ring():
     # one coordinate direction per query: component i of the estimate is
     # the sum of (y - b)/mu over the queries along e_i, so it exposes b
     buf = _ring(2, 2)
-    buf.push_block(_coord_rows(2, 0, 1), [1.0, 3.0])
-    assert np.array_equal(zoar_estimate(buf, mu=1.0), [1.0 - 2.0, 3.0 - 2.0])
-    buf.push_block(_coord_rows(2, 0, 0), [0.0, 2.0])
+    buf.push_block(_coord_rows(2, 0, 1), [[1.0, 3.0]])
+    assert np.array_equal(zoar_estimate(buf, mu=1.0), [[1.0 - 2.0, 3.0 - 2.0]])
+    buf.push_block(_coord_rows(2, 0, 0), [[0.0, 2.0]])
     # b = 1.5 over all four values, oldest block included
-    assert np.allclose(zoar_estimate(buf, mu=1.0), [-0.5, 0.5], rtol=1e-15, atol=0)
+    assert np.allclose(zoar_estimate(buf, mu=1.0), [[-0.5, 0.5]], rtol=1e-15, atol=0)
     const = _ring(2, 1)
-    const.push_block(_coord_rows(2, 0, 1), [4.25, 4.25])
-    assert np.array_equal(zoar_estimate(const, mu=1.0), np.zeros(2))
+    const.push_block(_coord_rows(2, 0, 1), [[4.25, 4.25]])
+    assert np.array_equal(zoar_estimate(const, mu=1.0), np.zeros((1, 2)))
 
 
 def test_push_block_rejects_non_finite():
     buf = _ring(2, 2)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            buf.push_block(_rows([1, 2]), [1.0, bad])
+            buf.push_block(_rows([1, 2]), [[1.0, bad]])
     assert len(buf) == 0
 
 
@@ -314,12 +308,12 @@ def test_push_block_shift_allocates_less_than_a_block():
     # temporary of (n-1)*k*d floats first
     k, n, dim = 10, 6, 10_000
     buf = _ring(k, n, dim=dim)
-    block = np.ones((k, dim))
+    block = np.ones((1, k, dim))
     for _ in range(n):
-        buf.push_block(block, np.zeros(k))
+        buf.push_block(block, np.zeros((1, k)))
     tracemalloc.start()
     try:
-        buf.push_block(block, np.zeros(k))
+        buf.push_block(block, np.zeros((1, k)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,23 +325,23 @@ def test_push_block_shift_allocates_less_than_a_block():
 
 def test_zoar_hand_example():
     # two queries: (e1, y=1), (e2, y=3), mu = 0.5 -> baseline 2, g = (-2, 2)
-    buf = HistoryBuffer(block_size=1, depth=2, tag=DistTag.COORDINATE, dim=2)
-    buf.push_block(_coord_rows(2, 0), [1.0])
-    buf.push_block(_coord_rows(2, 1), [3.0])
+    buf = _ring(1, 2)
+    buf.push_block(_coord_rows(2, 0), [[1.0]])
+    buf.push_block(_coord_rows(2, 1), [[3.0]])
     grad = zoar_estimate(buf, mu=0.5)
-    assert np.array_equal(grad, np.array([-2.0, 2.0]))
+    assert np.array_equal(grad, np.array([[-2.0, 2.0]]))
 
 
 def test_zoar_equal_values_gives_zero():
     buf = _ring(2, 2, dim=3)
-    buf.push_block(_coord_rows(3, 0, 1), [5.0, 5.0])
-    buf.push_block(_coord_rows(3, 2, 1), [5.0, 5.0])
-    assert np.array_equal(zoar_estimate(buf, mu=0.1), np.zeros(3))
+    buf.push_block(_coord_rows(3, 0, 1), [[5.0, 5.0]])
+    buf.push_block(_coord_rows(3, 2, 1), [[5.0, 5.0]])
+    assert np.array_equal(zoar_estimate(buf, mu=0.1), np.zeros((1, 3)))
 
 
 def test_zoar_requires_two_records():
     buf = _ring(1, 4)
-    buf.push_block(_rows([0]), [1.0])
+    buf.push_block(_rows([0]), [[1.0]])
     with pytest.raises(InsufficientHistoryError):
         zoar_estimate(buf, mu=0.1)
 
@@ -357,18 +351,18 @@ def test_zoar_reduction_matches_seeded_weighted_sum_bitwise(tag):
     # the ring's directions, reduced in ring order, give the bits the
     # kernel's seeded reduction gives on the same seeds
     k, n, dim, mu = 3, 4, 7, 0.05
-    buf = HistoryBuffer(block_size=k, depth=n, tag=tag, dim=dim)
+    buf = HistoryBuffer(block_size=k, depth=n, tag=tag, dim=dim, rows=1)
     seeds = kernels.np_fold(np.uint64(21), np.arange(k * (n + 2), dtype=np.uint64))
     values = kernels.uniform_doubles(5, seeds.size) - 0.5
     for b in range(n + 2):
         block = seeds[b * k:(b + 1) * k]
-        buf.push_block(kernels.materialize_block(block, int(tag), dim),
-                       values[b * k:(b + 1) * k])
+        buf.push_block(kernels.materialize_block(block, int(tag), dim)[None],
+                       values[None, b * k:(b + 1) * k])
     kept = values[-k * n:]
     coeffs = (kept - kept.mean()) / mu
     ref = kernels.weighted_direction_sum(seeds[-k * n:], int(tag), dim, coeffs)
     ref *= (dim if tag is DistTag.SPHERE else 1.0) / (k * n - 1)
-    assert np.array_equal(zoar_estimate(buf, mu), ref)
+    assert np.array_equal(zoar_estimate(buf, mu), ref[None])
 
 
 def _loop_sum(coeffs, rows):
@@ -400,7 +394,8 @@ def test_one_pass_sum_matches_the_loop_bitwise(monkeypatch, tag, rows, dim):
     # a partly filled ring (one slot range) and a wrapped one (two), and a
     # difference step's (k, ..., d) block; each under the default size
     # limit (dim 1000 at R = 5 lies above it), forced to the loop, and
-    # forced to one pass
+    # forced to one pass.  ring-1d sums a one-run ring's spans without
+    # their row axis, the (k, d) shape of a one-run difference step
     k, n = 4, 5
     lead = () if rows is None else (rows,)
     rng = np.random.default_rng(dim)
@@ -408,13 +403,14 @@ def test_one_pass_sum_matches_the_loop_bitwise(monkeypatch, tag, rows, dim):
     blocks = kernels.materialize_block(seeds, int(tag), dim).reshape((7,) + lead + (k, dim))
     cases = []
     for pushes in (3, 7):
-        buf = HistoryBuffer(k, n, tag, dim, rows=rows)
+        buf = HistoryBuffer(k, n, tag, dim, rows=rows or 1)
         for block in blocks[:pushes]:
-            buf.push_block(block, np.zeros(lead + (k,)))
-        assert len(buf.spans()) == (1 if pushes <= n else 2)
+            buf.push_block(block.reshape(-1, k, dim), np.zeros((rows or 1, k)))
+        spans = [span.reshape(span.shape[:1] + lead + (dim,)) for span in buf.spans()]
+        assert len(spans) == (1 if pushes <= n else 2)
         kept = [block[..., j, :] for block in blocks[max(0, pushes - n):pushes]
                 for j in range(k)]
-        cases += [(c, buf.spans(), kept) for c in _awkward_coeffs(rng, lead + (len(kept),))]
+        cases += [(c, spans, kept) for c in _awkward_coeffs(rng, lead + (len(kept),))]
     step = blocks[0]
     cases += [(c, [np.moveaxis(step, -2, 0)], [step[..., j, :] for j in range(k)])
               for c in _awkward_coeffs(rng, lead + (k,))]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zoar._kernels as kernels
-from zoar import objectives, sampling
+from zoar import objectives, sampling, verify
 from zoar.objectives import ObjectiveKind, ObjectiveSpec, eval as obj_eval
 from zoar.sampling import DistTag
 
@@ -87,9 +87,24 @@ def test_per_row_noise_seeds_match_rows_alone_bitwise(kind, seed, rows, k, dim,
 
 
 def test_noise_seeds_must_match_leading_axes():
-    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3, noise_sigma=0.1)
-    with pytest.raises(ValueError):
-        obj_eval(spec, np.zeros((2, 4, 3)), np.arange(4, dtype=np.uint64))
+    # checked with noise and without, so a clean spec refuses what a noisy
+    # one does
+    for sigma in (0.0, 0.1):
+        spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3, noise_sigma=sigma)
+        for points, seeds in [(np.zeros((2, 4, 3)), np.arange(4, dtype=np.uint64)),
+                              (np.zeros((2, 3)), [1, 2, 3]), (np.zeros(3), [1]),
+                              (np.zeros((2, 3)), np.zeros((2, 3), dtype=np.uint64))]:
+            with pytest.raises(ValueError):
+                obj_eval(spec, points, seeds)
+        assert obj_eval(spec, np.zeros((2, 3)), [1, 2]).shape == (2,)
+        assert obj_eval(spec, np.zeros((2, 4, 3)), np.zeros(2, dtype=np.uint64)).shape == (2, 4)
+
+
+def test_scalar_point_rejected():
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 1)
+    for evaluate in (objectives.clean_value, obj_eval):
+        with pytest.raises(ValueError):
+            evaluate(spec, 3.0)
 
 
 def test_noise_mean_converges_to_clean_value():
@@ -137,23 +152,15 @@ def test_grad_oracle_directional_agreement(kind):
         assert abs(directional - ref) <= 1e-4 * max(1.0, abs(ref))
 
 
-def test_smoothed_oracle_zero_radius_exact():
-    spec = ObjectiveSpec(ObjectiveKind.LEVY, 3)
-    theta = np.array([0.4, -1.0, 2.0])
-    sv = objectives.smoothed_value_oracle(spec, theta, 0.0, DistTag.GAUSSIAN, 50, 1)
-    assert sv.mean == objectives.clean_value(spec, theta)
-    assert sv.stderr == 0.0
-
-
 def test_smoothed_oracle_quadratic_sphere_closed_form():
+    # the sphere-smoothed quadratic is 0.5*||theta||^2 + 0.5*mu^2; the
+    # objective-equivalence check's per-trial values average to it
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4)
-    sv = objectives.smoothed_value_oracle(spec, np.zeros(4), 1.0, DistTag.SPHERE,
-                                          20000, 5)
-    assert sv.analytic == 0.5
-    assert abs(sv.mean - 0.5) < max(4.0 * sv.stderr, 1e-12)
-
-    theta = np.array([1.0, 0.0, 0.0, 0.0])
-    sv = objectives.smoothed_value_oracle(spec, theta, 0.05, DistTag.SPHERE,
-                                          100000, 6)
-    assert sv.analytic == 0.50125
-    assert abs(sv.mean - 0.50125) < 4.0 * sv.stderr
+    for theta, mu, trials, seed, closed in [(np.zeros(4), 1.0, 20000, 5, 0.5),
+                                            (np.array([1.0, 0.0, 0.0, 0.0]), 0.05,
+                                             100000, 6, 0.50125)]:
+        root = np.uint64(sampling.fold(seed, sampling.NS_TRIAL))
+        values = verify._perturbed_values(spec, theta, mu, DistTag.SPHERE, root,
+                                          np.arange(trials, dtype=np.uint64))
+        stderr = values.std(ddof=1) / math.sqrt(trials)
+        assert abs(values.mean() - closed) < max(4.0 * stderr, 1e-12)

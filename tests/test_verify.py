@@ -26,14 +26,15 @@ def test_batch_history_path_matches_production_estimator(sigma):
     for i in range(trials):
         root = kernels.np_fold(np.uint64(trial_root), np.uint64(i))
         buf = HistoryBuffer(block_size=cfg.k, depth=theta_seq.shape[0],
-                            tag=cfg.tag, dim=4)
+                            tag=cfg.tag, dim=4, rows=1)
         for b, theta in enumerate(theta_seq):
             block_root = kernels.np_fold(root, np.uint64(b))
             seeds = kernels.np_fold(block_root, np.arange(cfg.k, dtype=np.uint64))
             noise_root = kernels.np_fold(block_root, np.uint64(verify._NS_NOISEROOT))
             dirs = kernels.materialize_block(seeds, int(cfg.tag), 4)
-            buf.push_block(dirs, objectives.eval(spec, theta + cfg.mu * dirs, noise_root))
-        prod = estimators.zoar_estimate(buf, cfg.mu)
+            buf.push_block(dirs[None],
+                           objectives.eval(spec, theta + cfg.mu * dirs, noise_root)[None])
+        prod = estimators.zoar_estimate(buf, cfg.mu)[0]
         assert np.allclose(batch[i], prod, rtol=1e-12, atol=1e-14)
 
 
