@@ -12,14 +12,14 @@ from . import _kernels as kernels
 from . import sampling
 from .estimators import EstimatorConfig
 from .objectives import ObjectiveSpec
-from .optimizers import Arm, EstimatorKind, OptimizerConfig, Trace, run_optimization
+from .optimizers import Arm, EstimatorKind, OptimizerConfig, Trace, pack, run_optimization
 
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
 LOG_FLOOR = 1e-16  # gap values are clamped here before log-scale plotting
-# history-ring bytes one lockstep group of repeats may hold: a group of
-# rings grows peak memory by its size, and past this the per-step Python
-# overhead that lockstep saves is small beside the arithmetic
+# bytes of history and directions a lockstep group may hold (_arm_groups,
+# run_sweep): a group grows peak memory by its size, and past this the
+# per-step Python overhead that lockstep saves is small beside the arithmetic
 LOCKSTEP_BUDGET = 1 << 20
 
 
@@ -70,6 +70,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 0 or self.repeats < 1:
             raise ValueError("iterations must be >= 0 and repeats >= 1")
+        if not 0 <= self.master_seed <= kernels.MASK64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
 
     def fingerprint(self) -> str:
         blob = json.dumps({
@@ -90,23 +92,15 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _group_rows(cfgs: list[RunConfig]) -> int:
-    """Repeats per lockstep group: as many as fit a history ring of each
-    cell's n*k*d in ``LOCKSTEP_BUDGET`` bytes, and at least one."""
-    return min(max(1, LOCKSTEP_BUDGET // (c.estimator.n * c.estimator.k * c.objective.dim * 8))
-               for c in cfgs)
-
-
-def _kept_bytes(cfgs: list[RunConfig]) -> int:
-    """History that one lockstep group of these cells keeps: a ZoAR ring
-    of n*k*d doubles per run, a ZOHS window of n*d; vanilla keeps none."""
-    per_run = 0
-    for c in cfgs:
-        if c.estimator_kind is EstimatorKind.ZOAR:
-            per_run += c.estimator.n * c.estimator.k * c.objective.dim
-        elif c.estimator_kind is EstimatorKind.ZOHS:
-            per_run += c.estimator.n * c.objective.dim
-    return 8 * per_run * min(cfgs[0].repeats, _group_rows(cfgs))
+def _history_bytes(cfg: RunConfig) -> int:
+    """History one repeat of the cell keeps: a ZoAR ring of n*k*d doubles,
+    a ZOHS window of n*d; vanilla keeps none."""
+    n, k, d = cfg.estimator.n, cfg.estimator.k, cfg.objective.dim
+    if cfg.estimator_kind is EstimatorKind.ZOAR:
+        return 8 * n * k * d
+    if cfg.estimator_kind is EstimatorKind.ZOHS:
+        return 8 * n * d
+    return 0
 
 
 def _seed_groups(cfg: RunConfig, rows: int):
@@ -135,24 +129,12 @@ def _arm_groups(cfgs: list[RunConfig]) -> list[list[int]]:
     """Indices of the cells that run as arms of one loop, in cell order.
 
     Cells share a loop only when they share a :func:`_stream`, and only
-    while the history they keep together fits in the larger of
-    ``LOCKSTEP_BUDGET`` and the history of the largest of those cells run
-    alone, so a sweep never holds more history than one cell of it did.
+    while the history a repeat of them keeps together fits in the larger
+    of ``LOCKSTEP_BUDGET`` and the history of the largest of those cells,
+    so a sweep never holds more history than one cell of it did.
     """
-    streams: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        streams.setdefault(_stream(cfg), []).append(i)
-    groups = []
-    for cells in streams.values():
-        cap = max([LOCKSTEP_BUDGET] + [_kept_bytes([cfgs[i]]) for i in cells])
-        group: list[int] = []
-        for i in cells:
-            if group and _kept_bytes([cfgs[j] for j in group + [i]]) > cap:
-                groups.append(group)
-                group = []
-            group.append(i)
-        groups.append(group)
-    return groups
+    return pack([_stream(c) for c in cfgs], [_history_bytes(c) for c in cfgs],
+                LOCKSTEP_BUDGET)
 
 
 def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
@@ -162,15 +144,19 @@ def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
     (master_seed, repeat index), so different estimators compared under
     the same master seed see matched initial points and directions.  The
     cells of one :func:`_arm_groups` entry run as the arms of one
-    :func:`run_optimization` call per lockstep group of repeats, the
-    smallest of their :func:`_group_rows`, so each chunk of seeds and
-    directions is drawn once for all of them; a repeat's trace does not
-    depend on the group, or the other cells, it ran with.
+    :func:`run_optimization` call per lockstep group of repeats, so each
+    chunk of seeds and directions is drawn once for all of them.  A group
+    holds as many repeats as fit ``LOCKSTEP_BUDGET``, and at least one: a
+    repeat holds its arms' history and one iteration's k*d directions,
+    which the arms share.  A repeat's trace does not depend on the group,
+    or the other cells, it ran with.
     """
     traces: list[list[Trace]] = [[] for _ in cfgs]
     for cells in _arm_groups(cfgs):
         group = [cfgs[i] for i in cells]
-        for seeds in _seed_groups(group[0], _group_rows(group)):
+        k, d = group[0].estimator.k, group[0].objective.dim
+        rows = max(1, LOCKSTEP_BUDGET // (8 * k * d + sum(map(_history_bytes, group))))
+        for seeds in _seed_groups(group[0], rows):
             arms = [Arm(c.objective, c.estimator_kind, c.estimator, c.optimizer,
                         _starts(c, seeds)) for c in group]
             runs = run_optimization(arms, group[0].iterations, seeds)
@@ -311,6 +297,8 @@ def read_aggregate_csv(path) -> Aggregate:
                 ns.append(int(parts[3]))
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed numeric field") from None
+            if not (math.isfinite(means[-1]) and math.isfinite(stds[-1])):
+                raise ValueError(f"line {lineno}: mean_gap and std_gap must be finite")
     if not iters:
         raise ValueError("line 2: aggregate file has no data rows")
     return Aggregate(iters=np.array(iters), mean_gap=np.array(means),

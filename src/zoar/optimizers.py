@@ -26,11 +26,12 @@ CHUNK_ELEMENTS = 1 << 14
 
 # point entries (points x d) per objective evaluation: each step writes the
 # queries of the running arms that share an objective into one buffer and
-# evaluates them in one call, as many arms as fit and at least one, so
-# small steps share the evaluation's fixed cost (validation, point
-# digests, seed fold and noise draw).  A d=100, k=10, 5-repeat sweep of
-# four arms (21 000 entries) makes one call per step; at d=10**4 one
-# arm's queries exceed it, and each arm is evaluated alone.
+# evaluates them in one call, as many arms as fit this or the largest of
+# those arms (:func:`pack`), so small steps share the evaluation's fixed
+# cost (validation, point digests, seed fold and noise draw).  A d=100,
+# k=10, 5-repeat sweep of four arms (21 000 entries) makes one call per
+# step; at d=10**4 two arms' queries exceed the larger one's, and each
+# arm is evaluated alone.
 BATCH_ELEMENTS = 2 * CHUNK_ELEMENTS
 
 
@@ -256,26 +257,26 @@ def _start(arm: Arm, R: int, iterations: int) -> LoopState:
     return s
 
 
-def _batches(running: list, d: int) -> list[list[int]]:
-    """Indices into ``running`` of the arms evaluated together: arms with
-    equal objectives, in arm order, at most ``BATCH_ELEMENTS`` point
-    entries per batch and at least one arm."""
-    by_obj: dict[objectives.ObjectiveSpec, list[int]] = {}
-    for i, (arm, _) in enumerate(running):
-        by_obj.setdefault(arm.obj, []).append(i)
-    batches = []
-    for arms in by_obj.values():
-        batch, size = [], 0
-        for i in arms:
-            arm, s = running[i]
-            entries = s.live.size * arm.queries_per_iter * d
-            if batch and size + entries > BATCH_ELEMENTS:
-                batches.append(batch)
-                batch, size = [], 0
-            batch.append(i)
-            size += entries
-        batches.append(batch)
-    return batches
+def pack(keys, sizes, budget: int) -> list[list[int]]:
+    """Indices of the items grouped by equal key, in first-seen order, and
+    cut into consecutive bins whose sizes sum to at most the larger of
+    ``budget`` and that key's largest item; every bin holds one item or
+    more."""
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    bins = []
+    for items in by_key.values():
+        cap = max(budget, max(sizes[i] for i in items))
+        bin_, used = [], 0
+        for i in items:
+            if bin_ and used + sizes[i] > cap:
+                bins.append(bin_)
+                bin_, used = [], 0
+            bin_.append(i)
+            used += sizes[i]
+        bins.append(bin_)
+    return bins
 
 
 def _query(batch: list, chunk: Chunk, t: int, d: int) -> list:
@@ -323,7 +324,9 @@ def _advance(running: list, chunk: Chunk, t: int, d: int) -> tuple[list[float], 
     Nothing here outlives the call, so no view of ``chunk`` or of a batch
     buffer is kept while the loop draws the next chunk."""
     own, shared = [0.0] * len(running), 0.0
-    for batch in _batches(running, d):
+    for batch in pack([arm.obj for arm, _ in running],
+                      [s.live.size * arm.queries_per_iter * d for arm, s in running],
+                      BATCH_ELEMENTS):
         tic = time.perf_counter()
         queried = _query([running[i] for i in batch], chunk, t, d)
         shared += time.perf_counter() - tic
@@ -348,7 +351,7 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     direction entries, at least one iteration) for the runs that some arm
     still runs, once for all arms.  Each step evaluates the queries of
     the arms that share an objective with one ``objectives.eval`` call
-    (at most ``BATCH_ELEMENTS`` point entries, at least one arm), then
+    (at most ``BATCH_ELEMENTS`` point entries or the largest arm's), then
     each :func:`_step` moves an arm's live runs one iteration, and one
     ``clean_value`` call checks those arms' runs; each run gets the trace
     it would get alone.  An arm's ``wall_ms`` is its own step's time plus

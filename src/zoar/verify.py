@@ -406,6 +406,8 @@ def run_suite(suite: str, seed: int) -> list[CheckReport]:
     """Run the named check suite ('exact', 'statistical', or 'all')."""
     if suite not in ("all", "exact", "statistical"):
         raise ValueError(f"unknown suite: {suite!r}")
+    if not 0 <= seed <= kernels.MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     reports: list[CheckReport] = []
     if suite in ("all", "exact"):
         reports.append(check_estimator_identity(

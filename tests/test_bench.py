@@ -35,6 +35,15 @@ def test_run_config_rejects_non_integer_counts(field, value):
         dataclasses.replace(_cfg(), **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_run_config_rejects_seeds_outside_u64(seed):
+    # these were reduced mod 2**64: -1 ran the streams of 2**64 - 1 under
+    # another fingerprint
+    with pytest.raises(ValueError, match="master_seed must lie in"):
+        dataclasses.replace(_cfg(), master_seed=seed)
+    assert dataclasses.replace(_cfg(), master_seed=2 ** 64 - 1).master_seed == 2 ** 64 - 1
+
+
 def test_run_experiment_repeats_and_determinism():
     traces = bench.run_experiment(_cfg())
     assert len(traces) == 3
@@ -157,6 +166,33 @@ def test_sweep_keeps_no_more_history_than_its_largest_cell():
     assert peak(grid) < one + 5 * k * dim * 8
 
 
+@pytest.mark.parametrize("kinds,dim,calls", [
+    ((EstimatorKind.VANILLA, EstimatorKind.ZOHS), 1_000, [(2, 5)]),
+    ((EstimatorKind.VANILLA,), 10_000, [(1, 1)] * 5),
+], ids=["vanilla-zohs", "vanilla-wide"])
+def test_lockstep_repeats_are_sized_by_kept_history(monkeypatch, kinds, dim, calls):
+    # a repeat holds its arms' history and one iteration's k*d directions:
+    # vanilla keeps no history and a ZOHS window is n*d doubles, so at
+    # d = 10^3 all 5 repeats (128 kB each) share one call, while at
+    # d = 10^4 the directions alone (0.8 MB) leave one repeat per call
+    runs = []
+    run_optimization = bench.run_optimization
+
+    def spy_run(arms, iterations, seeds):
+        runs.append((len(arms), len(seeds)))
+        return run_optimization(arms, iterations, seeds)
+
+    monkeypatch.setattr(bench, "run_optimization", spy_run)
+    cfgs = [RunConfig(
+        objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, dim), estimator_kind=kind,
+        estimator=EstimatorConfig(mu=0.05, k=10, n=6, tag=DistTag.GAUSSIAN),
+        optimizer=OptimizerConfig(eta=0.001), iterations=2, repeats=5, master_seed=3)
+        for kind in kinds]
+    traces = bench.run_sweep(cfgs)
+    assert runs == calls
+    assert [len(cell) for cell in traces] == [5] * len(kinds)
+
+
 def _fake_trace(gaps):
     return Trace(np.array(gaps), np.zeros(len(gaps)), 1)
 
@@ -255,6 +291,12 @@ def test_aggregate_csv_malformed_reports_line(tmp_path):
     path.write_text("iter,mean_gap,std_gap,n\n0,1.0,0.0,2\n1,oops,0.0,2\n")
     with pytest.raises(ValueError, match="line 3"):
         bench.read_aggregate_csv(path)
+    # float() reads these, but a gap that is not finite is no reference
+    # and no point of a plot
+    for row in ("1,nan,0.0,2", "1,inf,0.0,2", "1,-inf,0.0,2", "1,1.0,nan,2"):
+        path.write_text(f"iter,mean_gap,std_gap,n\n0,1.0,0.0,2\n{row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            bench.read_aggregate_csv(path)
 
 
 def test_svg_output(tmp_path):

@@ -1,6 +1,9 @@
 import collections
+import importlib.util
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +234,10 @@ def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
     cfg.write_text(MINIMAL)
     bad = tmp_path / "bad.csv"
     bad.write_text("iter,mean_gap,std_gap,n\n0,xx,0,1\n")
-    for ref in (bad, tmp_path / "absent.csv"):
+    # a nan target used to run and write NaN, which is not JSON, into summary.json
+    nan = tmp_path / "nan.csv"
+    nan.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,1\n1,nan,0,1\n")
+    for ref in (bad, nan, tmp_path / "absent.csv"):
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--out", str(out), "--reference", str(ref)) == 2
         assert str(ref) in capsys.readouterr().err
@@ -307,6 +313,36 @@ def test_verify_exact_suite(tmp_path):
 
 def test_verify_invalid_suite_usage_error():
     assert run_cli("verify", "bogus") == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_verify_seed_outside_u64_is_exit_2(capsys, seed):
+    # these were reduced mod 2**64, so -1 checked the seed 2**64 - 1
+    assert run_cli("verify", "exact", "--seed", seed) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_master_seed_outside_u64_is_exit_2(tmp_path, monkeypatch, capsys, seed):
+    def no_run(cfg):
+        raise AssertionError("a run started with a seed outside [0, 2**64)")
+
+    monkeypatch.setattr(bench, "run_experiment", no_run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL.replace("master_seed = 3", f"master_seed = {seed}"))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "master_seed must lie in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_env_seed_outside_u64_is_exit_2(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.setattr(bench, "run_sweep", lambda cfgs: pytest.fail("the sweep ran"))
+    monkeypatch.setenv("ZOAR_SEED", seed)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL)
+    for command in ("run", "sweep"):
+        assert run_cli(command, str(cfg), "--out", str(tmp_path / command)) == 2
+        assert "master_seed must lie in" in capsys.readouterr().err
 
 
 def test_verify_failure_is_exit_4(monkeypatch):
@@ -483,70 +519,29 @@ def _trace(gaps, queries_per_iter, status="completed"):
                  diverged_at=len(gaps) if status == "diverged" else None)
 
 
-# the two sweep shapes of the benchmark in perfbench/workloads.py, copied
-# here because tier-1 does not import perfbench
-DESK_SWEEP = """\
-[objective]
-kind = quadratic
-dim = 100
-noise_sigma = 0.05
-
-[estimator]
-kind = [vanilla, zoar]
-tag = gaussian
-mu = 0.05
-k = 10
-n = [1, 6]
-
-[optimizer]
-rule = radazo
-eta = 0.001
-
-[run]
-iterations = 100
-repeats = 5
-master_seed = {master_seed}
-theta0_mode = uniform
-theta0_lo = -0.5
-theta0_hi = 0.5
-"""
-
-WIDE_SWEEP = """\
-[objective]
-kind = quadratic
-dim = 10000
-noise_sigma = 0
-
-[estimator]
-kind = [vanilla, zoar]
-tag = gaussian
-mu = 0.05
-k = 10
-n = 6
-
-[optimizer]
-rule = radazo
-eta = 0.001
-
-[run]
-iterations = 20
-repeats = 2
-master_seed = {master_seed}
-theta0_mode = uniform
-theta0_lo = -2
-theta0_hi = 2
-"""
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-@pytest.mark.parametrize("config,groups,calls", [
-    (DESK_SWEEP, [[0, 1, 2, 3]], [(4, 5)]),
-    (WIDE_SWEEP, [[0, 1]], [(2, 1), (2, 1)]),
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload,groups,calls", [
+    ("DESK", [[0, 1, 2, 3]], [(4, 5)]),
+    ("WIDE", [[0, 1]], [(2, 1), (2, 1)]),
 ], ids=["desk", "wide"])
-def test_benchmark_sweeps_lockstep_plans(tmp_path, monkeypatch, config, groups, calls):
-    # every cell of each sweep shares one seed stream, so each sweep is one
-    # group of arms.  bench._group_rows charges every cell n*k*d doubles
-    # per repeat: desk's 5 repeats fit LOCKSTEP_BUDGET, so they run in one
-    # call; wide's n*k*d*8 = 4.8 MB does not, so each call runs one repeat
+def test_benchmark_sweeps_lockstep_plans(tmp_path, monkeypatch, workload, groups, calls):
+    # the sweeps of the benchmark's workloads: every cell of each sweep
+    # shares one seed stream, so each sweep is one group of arms.  A repeat
+    # holds its arms' history and one iteration's directions: a desk
+    # repeat's 56 kB of rings and 8 kB of directions let all 5 run in one
+    # call, while wide's ZoAR ring alone is 4.8 MB, so each call runs one
+    config = getattr(_load_workloads(monkeypatch), workload).config
     plans, runs = [], []
     arm_groups, run_optimization = bench._arm_groups, bench.run_optimization
 
@@ -641,3 +636,8 @@ def test_plot_malformed_csv_names_line(tmp_path, capsys):
     bad.write_text("iter,mean_gap,std_gap,n\n0,xx,0,1\n")
     assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
     assert "line 2" in capsys.readouterr().err
+    # a non-finite gap used to be drawn as the coordinate "nan"
+    bad.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,1\n1,inf,0,1\n")
+    assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()

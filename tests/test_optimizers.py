@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zoar._kernels as kernels
 from zoar import estimators, objectives, optimizers, sampling
@@ -307,8 +309,8 @@ def _loop_peak(arms, iterations, seeds):
 
 
 def test_wide_arms_are_evaluated_one_at_a_time():
-    # d = 10^4: one arm's 11 points exceed the batch, so each arm is
-    # evaluated alone and the step peaks where it did when every arm made
+    # d = 10^4: the two arms' points exceed the larger arm's, so each arm
+    # is evaluated alone and the step peaks where it did when every arm made
     # its own call (7.849 MB measured then, 7.852-7.856 MB now): the zoar
     # ring, a chunk of one iteration, one arm's points and the
     # objective's equal-sized temporary, theta, m and v of both arms, and
@@ -342,6 +344,28 @@ def test_desk_shaped_sweep_peak_is_bounded_by_one_batch():
             for kind in (EstimatorKind.VANILLA, EstimatorKind.ZOAR) for n in (1, 6)]
     assert R * (2 * (k + 1) + 2 * k) * d <= optimizers.BATCH_ELEMENTS
     assert _loop_peak(arms, 40, list(range(R))) < 1_009_000 + optimizers.BATCH_ELEMENTS * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)), max_size=30),
+       budget=st.integers(0, 80))
+def test_pack_cuts_each_key_into_greedy_bins_in_order(items, budget):
+    keys, sizes = [key for key, _ in items], [size for _, size in items]
+    bins = optimizers.pack(keys, sizes, budget)
+    assert all(bins)
+    # the bins of a key, in order, are its indices in order, and keys
+    # appear in first-seen order
+    assert [i for b in bins for i in b] == sorted(range(len(keys)), key=lambda i: (
+        keys.index(keys[i]), i))
+    for b in bins:
+        assert len({keys[i] for i in b}) == 1
+    for b, after in zip(bins, bins[1:] + [[]]):
+        key = keys[b[0]]
+        cap = max([budget] + [s for k, s in items if k == key])
+        assert sum(sizes[i] for i in b) <= cap
+        # greedy: the next item of this key would overflow the bin
+        if after and keys[after[0]] == key:
+            assert sum(sizes[i] for i in b) + sizes[after[0]] > cap
 
 
 def test_traces_retain_two_floats_per_logged_iteration():
