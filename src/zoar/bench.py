@@ -200,16 +200,21 @@ def _first_at_or_below(agg: Aggregate, target: float) -> int | None:
     return int(agg.iters[hits[0]]) if hits.size else None
 
 
-def speedup(reference: Aggregate, candidate: Aggregate, target_gap: float) -> float | None:
-    """Iterations for the reference to reach the target gap divided by
-    iterations for the candidate; None when either never reaches it."""
-    ref = _first_at_or_below(reference, target_gap)
-    cand = _first_at_or_below(candidate, target_gap)
+def _ratio(ref, cand) -> float | None:
+    """ref / cand; None when either is None, 1 when both are 0, inf when
+    only cand is."""
     if ref is None or cand is None:
         return None
     if cand == 0:
         return 1.0 if ref == 0 else float("inf")
     return ref / cand
+
+
+def speedup(reference: Aggregate, candidate: Aggregate, target_gap: float) -> float | None:
+    """Iterations for the reference to reach the target gap divided by
+    iterations for the candidate; None when either never reaches it."""
+    return _ratio(_first_at_or_below(reference, target_gap),
+                  _first_at_or_below(candidate, target_gap))
 
 
 def queries_speedup(reference: Aggregate, reference_traces: list[Trace],
@@ -222,13 +227,8 @@ def queries_speedup(reference: Aggregate, reference_traces: list[Trace],
         done = [t.queries_per_iter for t in traces if t.completed]
         return None if it is None or not done else float(it * done[0])
 
-    ref = queries_at(reference, reference_traces, target_gap)
-    cand = queries_at(candidate, candidate_traces, target_gap)
-    if ref is None or cand is None:
-        return None
-    if cand == 0.0:
-        return 1.0 if ref == 0.0 else float("inf")
-    return ref / cand
+    return _ratio(queries_at(reference, reference_traces, target_gap),
+                  queries_at(candidate, candidate_traces, target_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,11 @@ def read_aggregate_csv(path) -> Aggregate:
                 raise ValueError(f"line {lineno}: malformed numeric field") from None
             if not (math.isfinite(means[-1]) and math.isfinite(stds[-1])):
                 raise ValueError(f"line {lineno}: mean_gap and std_gap must be finite")
+            if iters[-1] != lineno - 2:
+                raise ValueError(f"line {lineno}: expected iter {lineno - 2}, got {iters[-1]}")
+            if ns[-1] < 1 or ns[-1] != ns[0]:
+                raise ValueError(f"line {lineno}: n must be the same integer >= 1 on every "
+                                 f"row, got {ns[-1]}")
     if not iters:
         raise ValueError("line 2: aggregate file has no data rows")
     return Aggregate(iters=np.array(iters), mean_gap=np.array(means),

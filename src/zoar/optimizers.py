@@ -11,17 +11,17 @@ import numpy as np
 
 from . import estimators, objectives, sampling
 from .estimators import EstimatorConfig, HistoryBuffer
-from .sampling import DistTag
 
 DIVERGENCE_LIMIT = 1e12
 
-# direction entries (rows x iterations x k x d) drawn per chunk; a chunk
-# holds at least one iteration.  Directions depend on seeds alone, so the
-# loop draws a chunk of iterations' directions in one kernel call, which
-# spreads the call's fixed cost over small steps.  The chunk sets the
-# loop's peak memory: on a d=100, k=10, 5-repeat sweep (pure backend)
-# 2**14 draws 3 iterations at a time and raised the peak RSS 0.6 %;
-# 2**16 (13 iterations) raised it 4.3 % for about 3 % more speed.
+# direction entries (runs x iterations x k x d) drawn per chunk for every
+# run of a lockstep group; a chunk holds at least one iteration.
+# Directions depend on seeds alone, so the loop draws a chunk of
+# iterations' directions in one kernel call, which spreads the call's
+# fixed cost over small steps.  The chunk sets the loop's peak memory: on
+# a d=100, k=10, 5-repeat sweep (pure backend) 2**14 draws 3 iterations
+# at a time and raised the peak RSS 0.6 %; 2**16 (13 iterations) raised
+# it 4.3 % for about 3 % more speed.
 CHUNK_ELEMENTS = 1 << 14
 
 # point entries (points x d) per objective evaluation: each step writes the
@@ -185,36 +185,6 @@ class LoopState:
             self.ring.keep(ok)
 
 
-@dataclass
-class Chunk:
-    """Seeds and directions drawn for the runs ``rows`` (sorted): ``dirs``
-    (R, C, k, d) and ``noise_seeds`` (R, C) of iterations ``first`` to
-    ``first + C - 1``."""
-
-    rows: np.ndarray
-    dirs: np.ndarray
-    noise_seeds: np.ndarray
-    first: int = 1
-
-    def read(self, live: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Iteration t's (R, k, d) directions and (R,) noise seeds of the
-        runs ``live``, a subset of ``rows``; views while no row has left."""
-        c = t - self.first
-        if live.size == self.rows.size:
-            return self.dirs[:, c], self.noise_seeds[:, c]
-        at = np.searchsorted(self.rows, live)
-        return self.dirs[at, c], self.noise_seeds[at, c]
-
-
-def _draw(roots: np.ndarray, rows: np.ndarray, t: int, iterations: int, k: int,
-          tag: DistTag, d: int) -> Chunk:
-    """The chunk of runs ``rows`` from iteration t: as many iterations as
-    fit ``CHUNK_ELEMENTS`` direction entries, at least one."""
-    size = min(iterations + 1 - t, max(1, CHUNK_ELEMENTS // (rows.size * k * d)))
-    dir_seeds, noise_seeds = sampling.iteration_seeds(roots[:, rows], range(t, t + size), k)
-    return Chunk(rows, estimators.directions(dir_seeds, tag, d), noise_seeds, t)
-
-
 def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, values: np.ndarray) -> None:
     """Move every row of ``s`` through iteration t with its (R, k, d)
     ``dirs`` and the (R, q) observed values of its queries: estimate,
@@ -279,13 +249,16 @@ def pack(keys, sizes, budget: int) -> list[list[int]]:
     return bins
 
 
-def _query(batch: list, chunk: Chunk, t: int, d: int) -> list:
-    """Evaluate iteration t's queries of the (arm, state) pairs ``batch``
-    in one ``objectives.eval`` call: each row's k points (and the centre
-    for the difference estimators) go into one buffer with their row's
-    noise seed.  Returns each arm's (R, k, d) directions and (R, q) values;
-    the buffer goes when this returns, before any estimate is formed."""
-    reads = [chunk.read(s.live, t) for _, s in batch]
+def _query(batch: list, dirs: np.ndarray, noise: np.ndarray, d: int) -> list:
+    """Evaluate one iteration's queries of the (arm, state) pairs ``batch``
+    in one ``objectives.eval`` call, from every run's (R, k, d) ``dirs``
+    and (R,) ``noise`` seeds: each row's k points (and the centre for the
+    difference estimators) go into one buffer with their row's noise
+    seed.  Returns each arm's directions of its live rows (views while it
+    runs all R) and (R, q) values; the buffer goes when this returns,
+    before any estimate is formed."""
+    reads = [(dirs, noise) if s.live.size == dirs.shape[0] else (dirs[s.live], noise[s.live])
+             for _, s in batch]
     counts = [s.live.size * arm.queries_per_iter for arm, s in batch]
     points = np.empty((sum(counts), d))
     seeds = np.empty(sum(counts), dtype=np.uint64)
@@ -317,22 +290,24 @@ def _check(states: list[LoopState], obj: objectives.ObjectiveSpec, t: int) -> No
         s.keep(ok)
 
 
-def _advance(running: list, chunk: Chunk, t: int, d: int) -> tuple[list[float], float]:
-    """Move the running (arm, state) pairs through iteration t, a batch
-    at a time: one evaluation, each arm's :func:`_step`, one check.
-    Returns each arm's own time (its step) and the batches' shared time.
-    Nothing here outlives the call, so no view of ``chunk`` or of a batch
-    buffer is kept while the loop draws the next chunk."""
+def _advance(running: list, dirs: np.ndarray, noise: np.ndarray, t: int,
+             d: int) -> tuple[list[float], float]:
+    """Move the running (arm, state) pairs through iteration t, with every
+    run's (R, k, d) ``dirs`` and (R,) ``noise`` seeds, a batch at a time:
+    one evaluation, each arm's :func:`_step`, one check.  Returns each
+    arm's own time (its step) and the batches' shared time.  Nothing here
+    outlives the call, so no view of the chunk or of a batch buffer is
+    kept while the loop draws the next chunk."""
     own, shared = [0.0] * len(running), 0.0
     for batch in pack([arm.obj for arm, _ in running],
                       [s.live.size * arm.queries_per_iter * d for arm, s in running],
                       BATCH_ELEMENTS):
         tic = time.perf_counter()
-        queried = _query([running[i] for i in batch], chunk, t, d)
+        queried = _query([running[i] for i in batch], dirs, noise, d)
         shared += time.perf_counter() - tic
-        for i, (dirs, values) in zip(batch, queried):
+        for i, (arm_dirs, values) in zip(batch, queried):
             tic = time.perf_counter()
-            _step(running[i][1], running[i][0], t, dirs, values)
+            _step(running[i][1], running[i][0], t, arm_dirs, values)
             own[i] = time.perf_counter() - tic
         tic = time.perf_counter()
         _check([running[i][1] for i in batch], running[batch[0]][0].obj, t)
@@ -348,10 +323,12 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     Run r of every arm draws the directions and noise seeds of seed r, so
     the arms must agree on k, the direction law and the dimension.  They
     are drawn a chunk of iterations at a time (at most ``CHUNK_ELEMENTS``
-    direction entries, at least one iteration) for the runs that some arm
-    still runs, once for all arms.  Each step evaluates the queries of
-    the arms that share an objective with one ``objectives.eval`` call
-    (at most ``BATCH_ELEMENTS`` point entries or the largest arm's), then
+    direction entries, at least one iteration) for all R runs, once for
+    all arms: a run that stopped in every arm is still drawn until the
+    call ends, which costs no more than the same group with no run
+    stopped.  Each step evaluates the queries of the arms that share an
+    objective with one ``objectives.eval`` call (at most
+    ``BATCH_ELEMENTS`` point entries or the largest arm's), then
     each :func:`_step` moves an arm's live runs one iteration, and one
     ``clean_value`` call checks those arms' runs; each run gets the trace
     it would get alone.  An arm's ``wall_ms`` is its own step's time plus
@@ -382,25 +359,23 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
             arm.est_cfg.require_gaussian()
 
     roots = sampling.stream_roots(seeds)
+    per_chunk = max(1, CHUNK_ELEMENTS // (R * k * d))
     with np.errstate(over="ignore"):
         states = [_start(arm, R, iterations) for arm in arms]
-        chunk = Chunk(np.arange(0), np.empty((0, 0, k, d)), np.empty((0, 0), np.uint64))
         for t in range(1, iterations + 1):
             running = [(arm, s) for arm, s in zip(arms, states) if s.live.size]
             if not running:
                 break
             tic = time.perf_counter()
-            if t == chunk.first + chunk.dirs.shape[1]:
-                # a mask, not np.unique, whose first call alone adds about
-                # 1 MiB to the process's resident memory
-                drawn = np.zeros(R, dtype=bool)
-                for _, s in running:
-                    drawn[s.live] = True
-                chunk = None  # release the old chunk before drawing the next
-                chunk = _draw(roots, np.flatnonzero(drawn), t, iterations, k, tag, d)
+            c = (t - 1) % per_chunk
+            if c == 0:
+                dirs = None  # release the old chunk before drawing the next
+                dir_seeds, noise = sampling.iteration_seeds(
+                    roots, range(t, min(t + per_chunk, iterations + 1)), k)
+                dirs = estimators.directions(dir_seeds, tag, d)
             drawing = time.perf_counter() - tic
             rows = [s.live.size for _, s in running]
-            own, shared = _advance(running, chunk, t, d)
+            own, shared = _advance(running, dirs[:, c], noise[:, c], t, d)
             share = (drawing + shared) / len(running)
             for (_, s), n, spent in zip(running, rows, own):
                 s.wall_ms[t] = (spent + share) * 1000.0 / n

@@ -165,14 +165,12 @@ def _perturbed_values(spec: ObjectiveSpec, theta: np.ndarray, mu: float,
     """F(theta + mu*u) for the direction u of each seed ``fold(root, c)``,
     c in ``counters``.
 
-    The points are built in the directions' own array (``u *= mu; u +=
-    theta`` gives every entry the IEEE operations of ``theta + mu*u``),
-    and only the values outlive the call, so one stream's chunk is gone
-    before the other's is drawn.
+    The points are written over the directions' own array by
+    ``estimators.write_points``, and only the values outlive the call, so
+    one stream's chunk is gone before the other's is drawn.
     """
     u = kernels.materialize_block(kernels.np_fold(root, counters), int(tag), spec.dim)
-    u *= mu
-    u += theta
+    estimators.write_points(u, theta, mu, u)
     return objectives.clean_value(spec, u)
 
 

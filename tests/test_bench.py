@@ -297,6 +297,17 @@ def test_aggregate_csv_malformed_reports_line(tmp_path):
         path.write_text(f"iter,mean_gap,std_gap,n\n0,1.0,0.0,2\n{row}\n")
         with pytest.raises(ValueError, match="line 3"):
             bench.read_aggregate_csv(path)
+    # the iter column counts 0, 1, 2, ... and every row has the same n >= 1;
+    # the first body once read back as iters [0 7 3] with n = 2
+    for body, message in (("0,1.0,0,2\n7,0.5,0,-3\n3,0.2,0,5\n", "line 3: expected iter 1"),
+                          ("1,1.0,0,2\n", "line 2: expected iter 0"),
+                          ("0,1.0,0,2\n1,0.5,0,2\n1,0.2,0,2\n", "line 4: expected iter 2"),
+                          ("0,1.0,0,2\n1,0.5,0,3\n", "line 3: n must be"),
+                          ("0,1.0,0,0\n", "line 2: n must be"),
+                          ("0,1.0,0,-1\n1,0.5,0,-1\n", "line 2: n must be")):
+        path.write_text("iter,mean_gap,std_gap,n\n" + body)
+        with pytest.raises(ValueError, match=message):
+            bench.read_aggregate_csv(path)
 
 
 def test_svg_output(tmp_path):

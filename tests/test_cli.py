@@ -237,7 +237,10 @@ def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
     # a nan target used to run and write NaN, which is not JSON, into summary.json
     nan = tmp_path / "nan.csv"
     nan.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,1\n1,nan,0,1\n")
-    for ref in (bad, nan, tmp_path / "absent.csv"):
+    # iters out of order and a changing n used to be taken as a reference
+    disordered = tmp_path / "disordered.csv"
+    disordered.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,2\n7,0.5,0,-3\n3,0.2,0,5\n")
+    for ref in (bad, nan, disordered, tmp_path / "absent.csv"):
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--out", str(out), "--reference", str(ref)) == 2
         assert str(ref) in capsys.readouterr().err
@@ -638,6 +641,10 @@ def test_plot_malformed_csv_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
     # a non-finite gap used to be drawn as the coordinate "nan"
     bad.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,1\n1,inf,0,1\n")
+    assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
+    assert "line 3" in capsys.readouterr().err
+    # and iters out of order with a changing n used to be drawn
+    bad.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,2\n7,0.5,0,-3\n3,0.2,0,5\n")
     assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
     assert "line 3" in capsys.readouterr().err
     assert not (tmp_path / "p.svg").exists()

@@ -488,17 +488,40 @@ def test_gap_decreases_on_quadratic_sgd():
     assert trace.f_clean[-1] < trace.f_clean[0]
 
 
-def test_chunk_rows_are_views_until_a_row_leaves():
-    rows = np.arange(4)
-    dirs = np.arange(4 * 2 * 3 * 5, dtype=np.float64).reshape(4, 2, 3, 5)
-    noise = np.arange(8, dtype=np.uint64).reshape(4, 2)
-    chunk = optimizers.Chunk(rows, dirs, noise, first=6)
-    all_dirs, all_noise = chunk.read(rows, 7)
-    assert np.shares_memory(all_dirs, dirs) and np.shares_memory(all_noise, noise)
-    assert np.array_equal(all_dirs, dirs[:, 1]) and np.array_equal(all_noise, noise[:, 1])
-    some_dirs, some_noise = chunk.read(np.array([0, 3]), 6)
-    assert np.array_equal(some_dirs, dirs[[0, 3], 0])
-    assert np.array_equal(some_noise, noise[[0, 3], 0])
+@pytest.mark.parametrize("est_kind", list(EstimatorKind))
+def test_chunks_draw_every_row_and_steps_read_views_until_a_row_leaves(monkeypatch,
+                                                                        est_kind):
+    # chunks of 7 iterations at R = 3: 7, 7, 7 and 4 iterations, with row 2
+    # leaving inside the first; every chunk still draws all three rows
+    R, k, d, T, per_chunk = 3, 4, 4, 25, 7
+    monkeypatch.setattr(optimizers, "CHUNK_ELEMENTS", per_chunk * R * k * d)
+    materialize_block, write_points = kernels.materialize_block, estimators.write_points
+    blocks, steps = [], []
+
+    def drawing(seeds, tag, dim):
+        block = materialize_block(seeds, tag, dim)
+        if dim == d:  # not the observation noise, drawn with dim 1
+            blocks.append(block)
+        return block
+
+    def writing(out, theta, mu, dirs, centre=False):
+        steps.append((blocks[-1], dirs))
+        write_points(out, theta, mu, dirs, centre)
+
+    monkeypatch.setattr(kernels, "materialize_block", drawing)
+    monkeypatch.setattr(estimators, "write_points", writing)
+    results = _diverging_group(est_kind)
+    assert [status for _, _, status, _ in results] == ["completed", "completed", "diverged"]
+    left = results[2][3]
+    assert 1 < left < per_chunk
+    assert [b.shape[0] for b in blocks] == [R * per_chunk * k] * 3 + [R * 4 * k]
+    assert len(steps) == T  # one arm: one write per step
+    for t, (block, dirs) in enumerate(steps, start=1):
+        chunk = block.reshape(R, -1, k, d)[:, (t - 1) % per_chunk]
+        if t <= left:  # the row is queried at the step it diverges
+            assert np.shares_memory(dirs, block) and np.array_equal(dirs, chunk)
+        else:
+            assert dirs.shape == (R - 1, k, d) and np.array_equal(dirs, chunk[:R - 1])
 
 
 def test_arms_of_one_loop_must_share_the_direction_stream():
