@@ -239,11 +239,14 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """One line per iteration i: i, i*q, f, its gap f - 0.0, and wall_ms."""
+    """One line per iteration i: i, i*q, f, its gap (f, since every
+    objective's minimum is 0) and wall_ms; a diverged trace's last line
+    holds the value that stopped it, so its reader sees the divergence."""
     q = trace.queries_per_iter
     lines = [TRACE_HEADER]
     for i, (f, w) in enumerate(zip(trace.f_clean.tolist(), trace.wall_ms.tolist())):
-        lines.append(f"{i},{i * q},{_fmt(f)},{_fmt(f - 0.0)},{_fmt(w)}")
+        f = _fmt(f)
+        lines.append(f"{i},{i * q},{f},{f},{_fmt(w)}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -297,8 +300,9 @@ def read_aggregate_csv(path) -> Aggregate:
                 ns.append(int(parts[3]))
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed numeric field") from None
-            if not (math.isfinite(means[-1]) and math.isfinite(stds[-1])):
-                raise ValueError(f"line {lineno}: mean_gap and std_gap must be finite")
+            # every objective's minimum is 0, so a gap and its spread are >= 0
+            if not (0.0 <= means[-1] < math.inf and 0.0 <= stds[-1] < math.inf):
+                raise ValueError(f"line {lineno}: mean_gap and std_gap must be finite and >= 0")
             if iters[-1] != lineno - 2:
                 raise ValueError(f"line {lineno}: expected iter {lineno - 2}, got {iters[-1]}")
             if ns[-1] < 1 or ns[-1] != ns[0]:

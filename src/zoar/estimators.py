@@ -311,35 +311,20 @@ def gamma_factor(tag: DistTag, dim: int, mu: float) -> tuple[float, float]:
     return gamma, ln_gamma
 
 
-@dataclass(frozen=True)
-class ISEstimate:
-    """Importance-weighted score-function estimate.
-
-    When gamma overflows (or underflows to zero), ``gradient`` holds the
-    unscaled finite-difference estimate, ``scaled`` is False, and the
-    caller can apply ``ln_gamma`` in log space.
-    """
-
-    gradient: np.ndarray
-    queries_used: int
-    gamma: float
-    ln_gamma: float
-    scaled: bool
-
-
 def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
-                          master_seed: int) -> ISEstimate:
+                          master_seed: int) -> tuple[np.ndarray, int]:
     """Importance-weighted score-function estimate for any direction law.
 
     Equals gamma * fd_estimate with shared directions; the ratio is
     applied per direction inside the reduction, following the explicit
-    importance-sampled form.
+    importance-sampled form.  A gamma that overflows or underflows at this
+    dimension is a ``ValueError``.
     """
-    gamma, ln_gamma = gamma_factor(cfg.tag, len(np.asarray(theta)), cfg.mu)
-    scaled = math.isfinite(gamma) and gamma > 0.0
-    grad, queries = _difference_kernel(obj, theta, cfg, iteration, master_seed,
-                                       gamma if scaled else None)
-    return ISEstimate(grad, queries, gamma, ln_gamma, scaled)
+    dim = len(np.asarray(theta))
+    gamma, _ = gamma_factor(cfg.tag, dim, cfg.mu)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma is {gamma} at d={dim}: it overflows or underflows")
+    return _difference_kernel(obj, theta, cfg, iteration, master_seed, gamma)
 
 
 def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:

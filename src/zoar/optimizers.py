@@ -116,13 +116,19 @@ def radazo_step(theta: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarra
 class Trace:
     """One run's log as columns: entry t of ``f_clean`` and ``wall_ms`` is
     iteration t (entry 0 the start), and every iteration spends
-    ``queries_per_iter`` evaluations.  A run that diverged at iteration
-    ``diverged_at`` logs iterations 0 to ``diverged_at - 1``."""
+    ``queries_per_iter`` evaluations.  A run stops after the first value
+    past the divergence limit (``inf`` for non-finite parameters), so its
+    outcome is read from the last row: a last value past the limit makes
+    the run diverged at that row's iteration."""
 
     f_clean: np.ndarray
     wall_ms: np.ndarray
     queries_per_iter: int
-    diverged_at: int | None = None
+
+    @property
+    def diverged_at(self) -> int | None:
+        f = self.f_clean
+        return f.size - 1 if f.size and not abs(f[-1]) <= DIVERGENCE_LIMIT else None
 
     @property
     def completed(self) -> bool:
@@ -130,7 +136,7 @@ class Trace:
 
     @property
     def status(self) -> str:
-        return "completed" if self.diverged_at is None else "diverged"
+        return "completed" if self.completed else "diverged"
 
     @property
     def rows(self) -> range:
@@ -212,18 +218,16 @@ def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, values: np.ndarray) 
 
 
 def _start(arm: Arm, R: int, iterations: int) -> LoopState:
-    """The arm's state at iteration 0, its start logged; a start past the
-    divergence limit is diverged at iteration 1."""
+    """The arm's state at iteration 0, its start logged and checked like
+    any iteration's value (:func:`_check`): a start past the divergence
+    limit is diverged at iteration 0 and never queried."""
     theta, d = np.array(arm.theta0, dtype=np.float64), arm.obj.dim
     ring = (HistoryBuffer(arm.est_cfg.k, arm.est_cfg.n, arm.est_cfg.tag, d, rows=R)
             if arm.kind is EstimatorKind.ZOAR else None)
     s = LoopState(np.arange(R), theta, np.zeros((R, d)), np.zeros((R, d)),
                   np.empty((R, 0, d)), ring, np.empty((R, iterations + 1)),
                   np.zeros(iterations + 1), np.full(R, iterations + 1))
-    s.f_clean[:, 0] = objectives.clean_value(arm.obj, theta)
-    ok = np.abs(s.f_clean[:, 0]) <= DIVERGENCE_LIMIT
-    s.ends[~ok] = 1
-    s.keep(ok)
+    _check([s], arm.obj, 0)
     return s
 
 
@@ -275,8 +279,9 @@ def _query(batch: list, dirs: np.ndarray, noise: np.ndarray, d: int) -> list:
 
 def _check(states: list[LoopState], obj: objectives.ObjectiveSpec, t: int) -> None:
     """Log iteration t's clean values of ``states``, all on ``obj``, from
-    one ``clean_value`` call, and stop the rows whose parameters went
-    non-finite or whose value passed the divergence limit."""
+    one ``clean_value`` call, ``inf`` for parameters gone non-finite, and
+    stop the rows whose value is past the divergence limit: that value is
+    their last row."""
     oks = [np.all(np.isfinite(s.theta), axis=1) for s in states]
     values = objectives.clean_value(obj, np.concatenate([s.theta[ok]
                                                          for s, ok in zip(states, oks)]))
@@ -286,7 +291,7 @@ def _check(states: list[LoopState], obj: objectives.ObjectiveSpec, t: int) -> No
         f[ok] = values[lo:hi]
         ok &= np.abs(f) <= DIVERGENCE_LIMIT
         s.f_clean[s.live, t] = f
-        s.ends[s.live[~ok]] = t
+        s.ends[s.live[~ok]] = t + 1
         s.keep(ok)
 
 
@@ -334,11 +339,11 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     it would get alone.  An arm's ``wall_ms`` is its own step's time plus
     an equal share, among the running arms, of the step's shared work
     (draw, evaluations, checks), divided by its rows still running.  A run
-    whose parameters go non-finite or whose clean value exceeds the
-    divergence limit stops with that iteration recorded, and the others
-    carry on; a start that fails this test is diverged at iteration 1 and
-    is never queried.  Overflow inside the loop is expected there, so it
-    is not reported.
+    stops after the first clean value past the divergence limit (``inf``
+    when its parameters go non-finite), which is its trace's last row,
+    and the others carry on; the start is checked by the same rule, so a
+    start past the limit is diverged at iteration 0 and never queried.
+    Overflow inside the loop is expected there, so it is not reported.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     R = seeds.size
@@ -380,7 +385,6 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
             for (_, s), n, spent in zip(running, rows, own):
                 s.wall_ms[t] = (spent + share) * 1000.0 / n
 
-    return [[Trace(s.f_clean[r, :end], s.wall_ms[:end], arm.queries_per_iter,
-                   None if end == iterations + 1 else end)
+    return [[Trace(s.f_clean[r, :end], s.wall_ms[:end], arm.queries_per_iter)
              for r, end in enumerate(s.ends.tolist())]
             for arm, s in zip(arms, states)]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,9 @@ def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch
         assert g.status == ("completed" if a.diverged_at is None else "diverged")
         assert (_csv_without_wall(g, tmp_path / f"g{i}.csv")
                 == _csv_without_wall(a, tmp_path / f"a{i}.csv"))
+        # the file ends with the value that stopped the run, so it reads
+        # back with the same divergence
+        assert bench.read_trace_csv(tmp_path / f"g{i}.csv").diverged_at == g.diverged_at
 
 
 def test_wide_repeats_keep_one_ring_live_at_a_time():
@@ -214,8 +218,8 @@ def test_aggregate_permutation_invariant():
 
 
 def test_aggregate_excludes_diverged():
-    bad = _fake_trace([9.0])
-    bad.diverged_at = 1
+    bad = _fake_trace([9.0, math.inf])  # the value that stopped the run is its last
+    assert bad.diverged_at == 1
     agg = bench.aggregate([_fake_trace([1.0]), bad])
     assert agg.n == 1 and agg.excluded == 1
     with pytest.raises(ValueError):
@@ -304,7 +308,9 @@ def test_aggregate_csv_malformed_reports_line(tmp_path):
                           ("0,1.0,0,2\n1,0.5,0,2\n1,0.2,0,2\n", "line 4: expected iter 2"),
                           ("0,1.0,0,2\n1,0.5,0,3\n", "line 3: n must be"),
                           ("0,1.0,0,0\n", "line 2: n must be"),
-                          ("0,1.0,0,-1\n1,0.5,0,-1\n", "line 2: n must be")):
+                          ("0,1.0,0,-1\n1,0.5,0,-1\n", "line 2: n must be"),
+                          # every gap is >= 0, and so are their mean and spread
+                          ("0,1.0,-2.0,2\n1,-0.5,-1.0,2\n", "line 2: mean_gap and std_gap")):
         path.write_text("iter,mean_gap,std_gap,n\n" + body)
         with pytest.raises(ValueError, match=message):
             bench.read_aggregate_csv(path)

@@ -101,7 +101,7 @@ repeats = 2
 @pytest.mark.parametrize("kind", ["vanilla", "zoar"])
 def test_start_past_divergence_limit_is_exit_3(tmp_path, capfd, kind):
     # zoar used to die in the history ring on the start's non-finite
-    # query values; both kinds now stop each repeat at iteration 1, and
+    # query values; both kinds now stop each repeat at iteration 0, and
     # the start's overflow is expected, so nothing reaches stderr
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"""
@@ -126,8 +126,9 @@ theta0_value = 1e100
         assert run_cli("run", str(cfg), "--out", str(out)) == 3
     assert capfd.readouterr().err == ""
     assert json.loads((out / "summary.json").read_text())["status"] == "all_diverged"
-    for r in range(2):  # the start row alone
-        assert bench.read_trace_csv(out / f"trace_r{r}.csv").f_clean.tolist() == [np.inf]
+    for r in range(2):  # the start row alone, which reads back as diverged
+        back = bench.read_trace_csv(out / f"trace_r{r}.csv")
+        assert back.f_clean.tolist() == [np.inf] and back.diverged_at == 0
 
 
 @pytest.mark.parametrize("lo,hi", [("-1e308", "1e308"), ("1", "-1")])
@@ -240,7 +241,9 @@ def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
     # iters out of order and a changing n used to be taken as a reference
     disordered = tmp_path / "disordered.csv"
     disordered.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,2\n7,0.5,0,-3\n3,0.2,0,5\n")
-    for ref in (bad, nan, disordered, tmp_path / "absent.csv"):
+    negative = tmp_path / "negative.csv"
+    negative.write_text("iter,mean_gap,std_gap,n\n0,1.0,-2.0,2\n1,-0.5,-1.0,2\n")
+    for ref in (bad, nan, disordered, negative, tmp_path / "absent.csv"):
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--out", str(out), "--reference", str(ref)) == 2
         assert str(ref) in capsys.readouterr().err
@@ -462,8 +465,9 @@ def test_sweep_draws_directions_once_and_evaluates_every_query(tmp_path, monkeyp
     # directions (noise is off), and each step evaluates every cell's
     # queries in one call.  A run's queries are evaluated at steps 1 to
     # its last: T if it completed, else the step at which it diverged,
-    # which its trace does not log (its final queries_cum lacks that
-    # step).  Under sgd some runs diverge while the radazo cells run on
+    # which its trace logs as its last row, so the final queries_cum
+    # counts every evaluation.  Under sgd some runs diverge while the
+    # radazo cells run to the end.
     T, repeats, k = 40, 6, 3
     normals, calls = [], []
     materialize_block, evaluate = kernels.materialize_block, objectives.eval
@@ -503,23 +507,23 @@ def test_sweep_draws_directions_once_and_evaluates_every_query(tmp_path, monkeyp
         for path in out.glob("*/trace_r*.csv"):
             r = int(path.stem[len("trace_r"):])
             lines = path.read_text().splitlines()[1:]
-            assert len(lines) >= 2  # a run diverged at step t logs t rows
+            assert len(lines) >= 2  # a run diverged at step t logs t + 1 rows
             q = int(lines[1].split(",")[1])
-            expected.update({(r, t): q for t in range(1, min(len(lines), T) + 1)})
+            expected.update({(r, t): q for t in range(1, len(lines))})
             finals.append(int(lines[-1].split(",")[1]))
-            if len(lines) <= T:
-                diverged.append(q)
+            diverged.append(bench.read_trace_csv(path).diverged_at is not None)
         assert len(finals) == cells * repeats
         assert evaluated == expected  # nothing is evaluated after a run's last step
-        assert sum(evaluated.values()) == sum(finals) + sum(diverged)
-        assert bool(diverged) == ("sgd" in rule)
+        assert sum(evaluated.values()) == sum(finals)
+        assert any(diverged) == ("sgd" in rule)
         assert len(calls) == T
         assert sum(normals) == repeats * T * k * 4
 
 
 def _trace(gaps, queries_per_iter, status="completed"):
-    return Trace(np.array(gaps), np.zeros(len(gaps)), queries_per_iter,
-                 diverged_at=len(gaps) if status == "diverged" else None)
+    # a diverged run's last row is the value that stopped it
+    gaps = gaps + [np.inf] * (status == "diverged")
+    return Trace(np.array(gaps), np.zeros(len(gaps)), queries_per_iter)
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -647,4 +651,8 @@ def test_plot_malformed_csv_names_line(tmp_path, capsys):
     bad.write_text("iter,mean_gap,std_gap,n\n0,1.0,0,2\n7,0.5,0,-3\n3,0.2,0,5\n")
     assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
     assert "line 3" in capsys.readouterr().err
+    # and negative gaps, which no run writes, used to be drawn
+    bad.write_text("iter,mean_gap,std_gap,n\n0,1.0,-2.0,2\n1,-0.5,-1.0,2\n")
+    assert run_cli("plot", str(bad), "--out", str(tmp_path / "p.svg")) == 2
+    assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "p.svg").exists()

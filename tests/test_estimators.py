@@ -186,27 +186,27 @@ def test_is_scaling_identity(tag, dim):
         cfg = EstimatorConfig(mu=mu, k=4, tag=tag)
         theta = kernels.uniform_doubles(dim + 1, dim) - 0.5
         g_fd, _ = fd_estimate(spec, theta, cfg, 1, 5)
-        est = reinforce_is_estimate(spec, theta, cfg, 1, 5)
-        assert est.scaled
+        g_is, queries = reinforce_is_estimate(spec, theta, cfg, 1, 5)
+        assert queries == cfg.k + 1
         if tag is DistTag.GAUSSIAN:
-            assert np.array_equal(est.gradient, g_fd)
-        ref = est.gamma * g_fd
+            assert np.array_equal(g_is, g_fd)
+        ref = gamma_factor(tag, dim, mu)[0] * g_fd
         mask = np.abs(g_fd) > 1e-15
         if mask.any():
-            rel = np.abs(est.gradient[mask] - ref[mask]) / np.abs(ref[mask])
+            rel = np.abs(g_is[mask] - ref[mask]) / np.abs(ref[mask])
             assert rel.max() < 1e-9
 
 
-def test_is_overflow_returns_unscaled_with_flag():
-    dim = 400
+@pytest.mark.parametrize("tag,dim,mu", [(DistTag.COORDINATE, 400, 0.05),
+                                        (DistTag.SPHERE, 400, 0.05)],
+                         ids=["overflow", "underflow"])
+def test_is_gamma_out_of_range_raises(tag, dim, mu):
+    gamma, ln_gamma = gamma_factor(tag, dim, mu)
+    assert gamma in (0.0, math.inf) and math.isfinite(ln_gamma)
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, dim)
-    cfg = EstimatorConfig(mu=0.05, k=2, tag=DistTag.COORDINATE)
-    theta = np.ones(dim)
-    est = reinforce_is_estimate(spec, theta, cfg, 1, 3)
-    assert not est.scaled
-    assert est.gamma == math.inf and math.isfinite(est.ln_gamma)
-    g_fd, _ = fd_estimate(spec, theta, cfg, 1, 3)
-    assert np.array_equal(est.gradient, g_fd)
+    cfg = EstimatorConfig(mu=mu, k=2, tag=tag)
+    with pytest.raises(ValueError, match="d=400"):
+        reinforce_is_estimate(spec, np.ones(dim), cfg, 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,8 @@ def test_lockstep_moments_follow_a_row_that_leaves(monkeypatch, rule, eta, limit
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("start", [1e4, 1e100], ids=["past-limit", "overflowing"])
 @pytest.mark.parametrize("est_kind", list(EstimatorKind))
-def test_start_past_divergence_limit_is_diverged_at_one_unqueried(monkeypatch, est_kind,
-                                                                   start):
+def test_start_past_divergence_limit_is_diverged_at_zero_unqueried(monkeypatch, est_kind,
+                                                                    start):
     # Rosenbrock reads about 3e18 at 1e4 per coordinate and overflows to
     # inf at 1e100; the zoar ring used to refuse that row's query values,
     # and the difference estimators queried and stepped it
@@ -451,7 +451,7 @@ def test_start_past_divergence_limit_is_diverged_at_one_unqueried(monkeypatch, e
     [group] = run_optimization([Arm(spec, est_kind, est, cfg, theta0)], T, seeds)
     # one evaluation per step, of the two live rows' queries
     assert queried == [2 * group[0].queries_per_iter] * T
-    assert group[1].diverged_at == 1
+    assert group[1].diverged_at == 0
     assert group[1].f_clean.tolist() == [objectives.clean_value(spec, theta0[1])]
     for r in (0, 2):
         [[alone]] = run_optimization([Arm(spec, est_kind, est, cfg, theta0[r:r + 1])], T,
@@ -475,7 +475,10 @@ def test_divergence_is_recorded_not_raised():
                                       np.full((1, 4), 1.5))], 50, [1])
     assert trace.status == "diverged"
     assert trace.diverged_at is not None
-    assert trace.f_clean.size == trace.diverged_at <= 50
+    # the value that stopped the run is its last row
+    assert trace.f_clean.size == trace.diverged_at + 1 <= 51
+    assert not abs(trace.f_clean[-1]) <= optimizers.DIVERGENCE_LIMIT
+    assert np.all(np.abs(trace.f_clean[:-1]) <= optimizers.DIVERGENCE_LIMIT)
 
 
 def test_gap_decreases_on_quadratic_sgd():

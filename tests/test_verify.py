@@ -102,6 +102,13 @@ def test_is_scaling_check():
         assert rep.passed, rep
 
 
+def test_is_scaling_check_fails_when_gamma_overflows():
+    # the coordinate law's gamma is inf at d = 400; no trial can test it
+    rep = verify.check_is_scaling(DistTag.COORDINATE, 400, 0.05, trials=8, seed=6)
+    assert rep == verify.CheckReport("is_scaling", False, float("inf"), 1e-9, 8,
+                                     detail="gamma overflowed at d=400")
+
+
 def test_bias_check_single_and_two_point():
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
     cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
