@@ -286,29 +286,28 @@ def reinforce_gs_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
     return _difference_kernel(obj, theta, cfg, iteration, master_seed)
 
 
-def gamma_factor(tag: DistTag, dim: int, mu: float) -> tuple[float, float]:
+def gamma_factor(tag: DistTag, dim: int, mu: float) -> float:
     """Importance ratio linking the score-function form under a Gaussian
     policy to samples from the given direction law.
 
-    Returns (gamma, ln_gamma); gamma may overflow or underflow to
-    inf/0.0 at large dimension while ln_gamma stays finite.
+    Computed in log space; at large dimension gamma overflows to inf or
+    underflows to 0.0.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if tag is DistTag.GAUSSIAN:
-        return 1.0, 0.0
+        return 1.0
     if tag is DistTag.SPHERE:
         ln_gamma = ((1.0 - dim / 2.0) * math.log(2.0) - 0.5
                     - math.log(mu) - math.lgamma(dim / 2.0))
     else:  # coordinate basis
         ln_gamma = math.log(dim) - 0.5 - (dim / 2.0) * math.log(2.0 * math.pi * mu * mu)
     try:
-        gamma = math.exp(ln_gamma)
+        return math.exp(ln_gamma)
     except OverflowError:
-        gamma = math.inf
-    return gamma, ln_gamma
+        return math.inf
 
 
 def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
@@ -321,7 +320,7 @@ def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
     dimension is a ``ValueError``.
     """
     dim = len(np.asarray(theta))
-    gamma, _ = gamma_factor(cfg.tag, dim, cfg.mu)
+    gamma = gamma_factor(cfg.tag, dim, cfg.mu)
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma is {gamma} at d={dim}: it overflows or underflows")
     return _difference_kernel(obj, theta, cfg, iteration, master_seed, gamma)

@@ -25,11 +25,19 @@ reports do not depend on the chunk size.  No check holds more than a
 few (trials, d), (probes, trials) or (trials,) arrays besides one chunk:
 each chunk's arrays are dropped before the next chunk is drawn, also
 between the two seed streams of the objective-equivalence check.
+
+The checks of a suite depend only on their own arguments, so
+:func:`run_suite` runs them on one forked worker process per usable core
+and puts their reports back in suite order: the report has the bytes of
+a serial run.
 """
 
 import json
 import math
+import os
+import signal
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -241,10 +249,11 @@ def check_is_scaling(tag: DistTag, dim: int, mu: float, trials: int,
                      seed: int) -> CheckReport:
     """Importance-weighted estimate must equal gamma times the
     finite-difference estimate, componentwise, within 1e-9 relative."""
-    gamma, _ = gamma_factor(tag, dim, mu)
+    gamma = gamma_factor(tag, dim, mu)
     if not 0.0 < gamma < math.inf:
+        direction = "overflowed" if gamma else "underflowed"
         return CheckReport("is_scaling", False, math.inf, 1e-9, trials,
-                           detail=f"gamma overflowed at d={dim}")
+                           detail=f"gamma {direction} at d={dim}")
     worst = 0.0
     for i in range(trials):
         root = sampling.trial_seed(seed, i)
@@ -364,7 +373,7 @@ def check_lr_equivalence(spec: ObjectiveSpec, dim: int, tag: DistTag,
     if dim != spec.dim:
         raise ValueError("dim must match the objective dimension")
     cfg = EstimatorConfig(mu=0.05, k=4, tag=tag)
-    gamma, _ = gamma_factor(tag, dim, cfg.mu)
+    gamma = gamma_factor(tag, dim, cfg.mu)
     eta_r = eta_z / gamma
     theta_z = 2.0 * kernels.uniform_doubles(sampling.fold(seed, _NS_THETA), dim) - 1.0
     theta_r = theta_z.copy()
@@ -400,63 +409,129 @@ def check_gradient_oracle(spec: ObjectiveSpec, theta, seed: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # suite
 
-def run_suite(suite: str, seed: int) -> list[CheckReport]:
-    """Run the named check suite ('exact', 'statistical', or 'all')."""
-    if suite not in ("all", "exact", "statistical"):
-        raise ValueError(f"unknown suite: {suite!r}")
-    if not 0 <= seed <= kernels.MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    reports: list[CheckReport] = []
+# The running suite's checks, in report order.  Forked workers inherit
+# this list and are sent only an index into it, so no check is pickled:
+# a check wrapped in a closure, or monkeypatched, runs in a worker as is.
+_TASKS: list = []
+
+
+def _suite_tasks(suite: str, seed: int) -> list:
+    """The named suite's checks as argument-free callables, in report order."""
+    tasks = []
     if suite in ("all", "exact"):
-        reports.append(check_estimator_identity(
-            dim=64, k=8, mu=1.0, trials=150, seed=sampling.fold(seed, 1)))
+        tasks.append(partial(check_estimator_identity,
+                             dim=64, k=8, mu=1.0, trials=150, seed=sampling.fold(seed, 1)))
         for i, (tag, d, mu) in enumerate([(DistTag.GAUSSIAN, 10, 0.1),
                                           (DistTag.SPHERE, 2, 0.1),
                                           (DistTag.SPHERE, 5, 0.05),
                                           (DistTag.COORDINATE, 3, 0.5),
                                           (DistTag.COORDINATE, 6, 0.5)]):
-            reports.append(check_is_scaling(tag, d, mu, trials=10,
-                                            seed=sampling.fold(seed, 10 + i)))
+            tasks.append(partial(check_is_scaling, tag, d, mu, trials=10,
+                                 seed=sampling.fold(seed, 10 + i)))
         for i, (tag, d) in enumerate([(DistTag.GAUSSIAN, 3), (DistTag.SPHERE, 2),
                                       (DistTag.COORDINATE, 3)]):
-            reports.append(check_lr_equivalence(
-                ObjectiveSpec(ObjectiveKind.QUADRATIC, d), d, tag, eta_z=0.05,
-                steps=100, seed=sampling.fold(seed, 20 + i)))
+            tasks.append(partial(check_lr_equivalence,
+                                 ObjectiveSpec(ObjectiveKind.QUADRATIC, d), d, tag, eta_z=0.05,
+                                 steps=100, seed=sampling.fold(seed, 20 + i)))
         for i, kind in enumerate(ObjectiveKind):
-            spec = ObjectiveSpec(kind, 10)
-            theta = 0.5 + 0.1 * np.arange(10)
-            reports.append(check_gradient_oracle(spec, theta,
-                                                 seed=sampling.fold(seed, 30 + i)))
+            tasks.append(partial(check_gradient_oracle, ObjectiveSpec(kind, 10),
+                                 0.5 + 0.1 * np.arange(10), seed=sampling.fold(seed, 30 + i)))
     if suite in ("all", "statistical"):
-        reports.append(check_objective_equivalence(
-            ObjectiveSpec(ObjectiveKind.QUADRATIC, 4), np.zeros(4), mu=1.0,
-            tag=DistTag.SPHERE, trials=20000, seed=sampling.fold(seed, 40)))
-        reports.append(check_objective_equivalence(
-            ObjectiveSpec(ObjectiveKind.ACKLEY, 5), 0.3 * np.ones(5), mu=0.05,
-            tag=DistTag.GAUSSIAN, trials=100000, seed=sampling.fold(seed, 41)))
+        tasks.append(partial(check_objective_equivalence,
+                             ObjectiveSpec(ObjectiveKind.QUADRATIC, 4), np.zeros(4), mu=1.0,
+                             tag=DistTag.SPHERE, trials=20000, seed=sampling.fold(seed, 40)))
+        tasks.append(partial(check_objective_equivalence,
+                             ObjectiveSpec(ObjectiveKind.ACKLEY, 5), 0.3 * np.ones(5), mu=0.05,
+                             tag=DistTag.GAUSSIAN, trials=100000, seed=sampling.fold(seed, 41)))
         theta = np.linspace(0.2, 1.0, 5)
-        reports.append(check_history_estimator_mean(
-            ObjectiveSpec(ObjectiveKind.QUADRATIC, 5), theta[None, :],
-            EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
-            trials=30000, seed=sampling.fold(seed, 42)))
+        tasks.append(partial(check_history_estimator_mean,
+                             ObjectiveSpec(ObjectiveKind.QUADRATIC, 5), theta[None, :],
+                             EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
+                             trials=30000, seed=sampling.fold(seed, 42)))
         seq = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        reports.append(check_history_estimator_mean(
-            ObjectiveSpec(ObjectiveKind.QUADRATIC, 3), seq,
-            EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
-            trials=30000, seed=sampling.fold(seed, 43)))
+        tasks.append(partial(check_history_estimator_mean,
+                             ObjectiveSpec(ObjectiveKind.QUADRATIC, 3), seq,
+                             EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
+                             trials=30000, seed=sampling.fold(seed, 43)))
         theta_unit = np.zeros(10)
         theta_unit[0] = 1.0
         b_star = 0.5 + 0.5 * 0.05 ** 2
         grid = b_star + 0.05 * np.arange(-10, 11)
-        reports.append(check_optimal_baseline(
-            ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), theta_unit[None, :],
-            EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE), grid,
-            trials=10000, seed=sampling.fold(seed, 44)))
-        reports.append(check_variance_scaling(
-            ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), np.full(10, 0.5),
-            EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE), depths=[2, 4, 6],
-            trials=10000, seed=sampling.fold(seed, 45)))
-    return reports
+        tasks.append(partial(check_optimal_baseline,
+                             ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), theta_unit[None, :],
+                             EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE), grid,
+                             trials=10000, seed=sampling.fold(seed, 44)))
+        tasks.append(partial(check_variance_scaling,
+                             ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), np.full(10, 0.5),
+                             EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
+                             depths=[2, 4, 6], trials=10000, seed=sampling.fold(seed, 45)))
+    return tasks
+
+
+def _worker_count(n_tasks: int) -> int:
+    """One worker per core this process may run on, at most one per task
+    (1 where the platform cannot tell which cores those are)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = 1
+    return min(n_tasks, cores)
+
+
+def _run_task(index: int) -> CheckReport:
+    return _TASKS[index]()
+
+
+def _run_forked(tasks: list, workers: int, ctx) -> list[CheckReport]:
+    """Run ``tasks`` on ``workers`` processes forked from ``ctx``; returns
+    their reports in task order.  The pool is gone when this returns or
+    raises: closed and joined after the last report, terminated and joined
+    on any exception (a check's error, which is raised here, or an
+    interrupt).  Workers ignore SIGINT, so Ctrl-C interrupts this process
+    alone, which then terminates them."""
+    _TASKS[:] = tasks
+    try:
+        pool = ctx.Pool(workers, initializer=signal.signal,
+                        initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            # the statistical checks come last and variance scaling, the
+            # longest check, last of all: reverse order starts it first
+            reports = pool.map(_run_task, range(len(tasks) - 1, -1, -1), chunksize=1)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+    finally:
+        _TASKS.clear()
+    return reports[::-1]
+
+
+def run_suite(suite: str, seed: int) -> list[CheckReport]:
+    """Run the named check suite ('exact', 'statistical', or 'all').
+
+    The checks are independent, so they run on one forked worker process
+    per usable core (never more workers than checks), each with its own
+    memory.  Reports come back in suite order, the same bytes as a serial
+    run gives.  The suite runs serially in this process when one worker
+    would do, where ``fork`` is not available, or inside a daemonic
+    process (a pool worker), which may not start children.
+    """
+    if suite not in ("all", "exact", "statistical"):
+        raise ValueError(f"unknown suite: {suite!r}")
+    if not 0 <= seed <= kernels.MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    tasks = _suite_tasks(suite, seed)
+    workers = _worker_count(len(tasks))
+    if workers > 1:
+        # imported here: only a parallel suite pays for multiprocessing
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return _run_forked(tasks, workers, multiprocessing.get_context("fork"))
+    return [task() for task in tasks]
 
 
 def reports_to_json(reports: list[CheckReport], suite: str, seed: int) -> str:

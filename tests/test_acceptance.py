@@ -47,8 +47,8 @@ def test_criterion_2_importance_scaling():
                                               seed=200 + d)
                 assert rep.passed, rep
                 worst = max(worst, rep.statistic)
-    g_sphere, _ = gamma_factor(DistTag.SPHERE, 2, 0.1)
-    g_coord, _ = gamma_factor(DistTag.COORDINATE, 2, 0.1)
+    g_sphere = gamma_factor(DistTag.SPHERE, 2, 0.1)
+    g_coord = gamma_factor(DistTag.COORDINATE, 2, 0.1)
     elapsed = time.perf_counter() - tic
     announce(2, worst < 1e-9 and elapsed < 5.0,
              f"max rel dev {worst:.3g}; gamma spots {g_sphere:.6f}, {g_coord:.5f}",

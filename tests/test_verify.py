@@ -1,5 +1,9 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -102,11 +106,15 @@ def test_is_scaling_check():
         assert rep.passed, rep
 
 
-def test_is_scaling_check_fails_when_gamma_overflows():
-    # the coordinate law's gamma is inf at d = 400; no trial can test it
-    rep = verify.check_is_scaling(DistTag.COORDINATE, 400, 0.05, trials=8, seed=6)
+@pytest.mark.parametrize("tag,direction", [(DistTag.COORDINATE, "overflowed"),
+                                           (DistTag.SPHERE, "underflowed")],
+                         ids=["overflow", "underflow"])
+def test_is_scaling_check_fails_when_gamma_is_out_of_range(tag, direction):
+    # at d = 400 the coordinate law's gamma is inf and the sphere law's
+    # 0.0; no trial can test either, and the report names which it is
+    rep = verify.check_is_scaling(tag, 400, 0.05, trials=8, seed=6)
     assert rep == verify.CheckReport("is_scaling", False, float("inf"), 1e-9, 8,
-                                     detail="gamma overflowed at d=400")
+                                     detail=f"gamma {direction} at d=400")
 
 
 def test_bias_check_single_and_two_point():
@@ -235,6 +243,60 @@ GOLDEN_REPORT_SHA256 = {
 def test_verify_all_report_matches_golden_digest(seed):
     text = verify.reports_to_json(verify.run_suite("all", seed), "all", seed)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
+
+
+# ---------------------------------------------------------------------------
+# the suite's worker pool
+
+def test_pooled_suite_leaves_no_child_and_gives_the_serial_bytes(monkeypatch):
+    pooled = verify.reports_to_json(verify.run_suite("exact", 11), "exact", 11)
+    assert multiprocessing.active_children() == []
+    assert verify._TASKS == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("one usable core must not start a pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    serial = verify.reports_to_json(verify.run_suite("exact", 11), "exact", 11)
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("cores,tasks,workers", [(1, 19, 1), (2, 19, 2), (2, 1, 1),
+                                                 (64, 13, 13)])
+def test_worker_count_is_the_fewer_of_tasks_and_usable_cores(monkeypatch, cores, tasks,
+                                                             workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert verify._worker_count(tasks) == workers
+
+
+def test_failing_check_raises_and_leaves_no_child(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(verify, "check_gradient_oracle", broken)
+    with pytest.raises(ValueError, match="broken check"):
+        verify.run_suite("exact", 3)
+    assert multiprocessing.active_children() == []
+    assert verify._TASKS == []
+
+
+def test_interrupted_suite_leaves_no_child(monkeypatch):
+    # the one estimator-identity check interrupts the process that runs
+    # the suite, as Ctrl-C would, then waits to be terminated
+    caller = os.getpid()
+
+    def interrupt(*args, **kwargs):
+        os.kill(caller, signal.SIGINT)
+        time.sleep(30)
+
+    monkeypatch.setattr(verify, "check_estimator_identity", interrupt)
+    tic = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suite("exact", 3)
+    assert time.perf_counter() - tic < 20
+    assert multiprocessing.active_children() == []
+    assert verify._TASKS == []
 
 
 # one trial per chunk, a few trials per chunk with a short last chunk,
