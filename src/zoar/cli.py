@@ -175,6 +175,14 @@ def build_run_config(values: dict, seed_override: int | None = None) -> bench.Ru
         raise ConfigError(str(exc)) from None
 
 
+def _read_config(path: str) -> dict:
+    try:  # UTF-8, a leading byte-order mark dropped
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    return parse_config(text)
+
+
 def _seed_override() -> int | None:
     raw = os.environ.get("ZOAR_SEED")
     if raw is None:
@@ -224,12 +232,7 @@ def _write_run(cfg: bench.RunConfig, traces: list, out_dir: Path,
 
 
 def cmd_run(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    cfg = build_run_config(parse_config(text), _seed_override())
+    cfg = build_run_config(_read_config(args.config), _seed_override())
     ref = None
     if args.reference is not None:
         try:
@@ -260,12 +263,7 @@ def _cell_name(assignment: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    values = parse_config(text)
+    values = _read_config(args.config)
     swept = {sk: raw for sk, raw in values.items() if isinstance(raw, list)}
     fixed = {sk: raw for sk, raw in values.items() if not isinstance(raw, list)}
     keys = sorted(swept)

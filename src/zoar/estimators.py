@@ -61,8 +61,9 @@ from . import objectives, sampling
 from .sampling import DistTag
 
 
-class InsufficientHistoryError(ValueError):
-    """Raised when a history-based estimate needs more records."""
+# the largest |u_i| a direction law draws: a Gaussian entry is the normal
+# quantile of an open-(0, 1) draw, which lies at least 2**-53 from 0 and 1
+LARGEST_ENTRY = {DistTag.GAUSSIAN: 8.21, DistTag.SPHERE: 1.0, DistTag.COORDINATE: 1.0}
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,10 @@ class EstimatorConfig:
     tag: DistTag = DistTag.GAUSSIAN
 
     def __post_init__(self):
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        limit = np.finfo(np.float64).max / LARGEST_ENTRY[self.tag]
+        if not 0 < self.mu <= limit:
+            raise ValueError(f"mu must be positive and at most {limit:.6g} for mu*u to stay "
+                             f"finite with {self.tag.name.lower()} u, got {self.mu}")
         for name in ("k", "n"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -109,6 +112,7 @@ class HistoryBuffer:
     oldest block's slot, so a stored direction never moves; only the
     values, k per block, shift.  Directions are stored query-major, so
     the query-j slice of all R runs is one contiguous (R, dim) array.
+    Values are stored as they come, non-finite ones too (the loop stops those runs).
     """
 
     def __init__(self, block_size: int, depth: int, tag: DistTag, dim: int, rows: int):
@@ -145,8 +149,6 @@ class HistoryBuffer:
             raise ValueError(f"expected {k} directions of dimension {self.dim} and "
                              f"{k} values for each of {rows} rows, got "
                              f"{np.shape(dirs)} and {np.shape(values)}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("query values must be finite")
         lo = self._next * k
         self._dirs[lo:lo + k] = np.moveaxis(np.asarray(dirs), 1, 0)
         self._values[:, :-k] = self._values[:, k:]
@@ -332,13 +334,14 @@ def zoar_estimate(buffer: HistoryBuffer, mu: float) -> np.ndarray:
     (scale / (|H|-1)) * sum over (u, y) of (y - b)/mu * u with b the
     averaged baseline, the mean of every stored value; the stored
     directions are summed oldest first.  Consumes no new queries.
-    Returns the (R, dim) estimates, one row per run of the ring.
+    Returns the (R, dim) estimates, one row per run of the ring, non-finite
+    for a row with a non-finite value; a ring of one query (the k = 1
+    warm-up) is its own baseline, so its estimate is zero whatever the value.
     """
     m = len(buffer)
-    if m < 2:
-        raise InsufficientHistoryError(
-            f"history estimate needs at least 2 records, buffer holds {m}")
     values = buffer.values
+    if m < 2:
+        return np.zeros((values.shape[0], buffer.dim))
     baseline = values.mean(axis=-1)
     coeffs = (values - baseline[..., None]) / mu
     grad = _weighted_sum(coeffs, buffer.spans())

@@ -198,10 +198,7 @@ def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, values: np.ndarray) 
     est_cfg, opt_cfg = arm.est_cfg, arm.opt_cfg
     if arm.kind is EstimatorKind.ZOAR:
         s.ring.push_block(dirs, values)
-        # k = 1 warm-up: a single query pins the baseline to its own value,
-        # so the estimate is identically zero
-        grad = (estimators.zoar_estimate(s.ring, est_cfg.mu) if len(s.ring) >= 2
-                else np.zeros_like(s.theta))
+        grad = estimators.zoar_estimate(s.ring, est_cfg.mu)
     else:
         # vanilla and the score-function twin share one kernel
         grad = estimators.difference_gradient(values, dirs, est_cfg)
@@ -342,8 +339,9 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     stops after the first clean value past the divergence limit (``inf``
     when its parameters go non-finite), which is its trace's last row,
     and the others carry on; the start is checked by the same rule, so a
-    start past the limit is diverged at iteration 0 and never queried.
-    Overflow inside the loop is expected there, so it is not reported.
+    start past the limit is diverged at iteration 0 and never queried.  A
+    non-finite query value, of any kind, ends its run like any non-finite
+    number, and the loop reports no RuntimeWarning for the overflow.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     R = seeds.size
@@ -365,7 +363,7 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
 
     roots = sampling.stream_roots(seeds)
     per_chunk = max(1, CHUNK_ELEMENTS // (R * k * d))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         states = [_start(arm, R, iterations) for arm in arms]
         for t in range(1, iterations + 1):
             running = [(arm, s) for arm, s in zip(arms, states) if s.live.size]

@@ -75,21 +75,43 @@ def _csv_without_wall(trace, path):
     return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("kind,rule,eta,diverged_at", [
-    (EstimatorKind.VANILLA, UpdateRule.SGD, 1e-3, [5, None, None, 3, 5, 7]),
-    (EstimatorKind.ZOHS, UpdateRule.RADAZO, 30.0, [9, None, 24, None, None, None]),
-    (EstimatorKind.ZOAR, UpdateRule.ADAMM, 100.0, [31, 12, None, None, 16, 29]),
+# (objective, mu, iterations) of a group whose rows diverge at different
+# iterations: noisy Rosenbrock steps past the limit, and on Ackley noise of
+# sigma = 1e308 overflows query values now and then.  Ackley is bounded on
+# finite parameters, and at mu = 1e300 finite values take small steps, so
+# an Ackley row stops only through non-finite parameters, which log inf
+NOISY_ROSENBROCK = (ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4, noise_sigma=0.1), 0.05, 40)
+OVERFLOWING_NOISE = (ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=1e308), 1e300, 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,rule,eta,diverged_at,setup", [
+    (EstimatorKind.VANILLA, UpdateRule.SGD, 1e-3, [5, None, None, 3, 5, 7], NOISY_ROSENBROCK),
+    (EstimatorKind.ZOHS, UpdateRule.RADAZO, 30.0, [9, None, 24, None, None, None],
+     NOISY_ROSENBROCK),
+    (EstimatorKind.ZOAR, UpdateRule.ADAMM, 100.0, [31, 12, None, None, 16, 29],
+     NOISY_ROSENBROCK),
+    (EstimatorKind.VANILLA, UpdateRule.SGD, 1e-3, [None, 3, None, 1, 1, None], OVERFLOWING_NOISE),
+    (EstimatorKind.VANILLA, UpdateRule.ADAMM, 1e-3, [None, 3, 3, 1, 1, 2], OVERFLOWING_NOISE),
+    (EstimatorKind.VANILLA, UpdateRule.RADAZO, 1e-3, [2, None, 4, 1, 1, 2], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOHS, UpdateRule.SGD, 1e-3, [None, 4, None, 1, 1, None], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOHS, UpdateRule.ADAMM, 1e-3, [None, 4, None, 1, 1, 2], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOHS, UpdateRule.RADAZO, 1e-3, [2, 3, None, 1, 1, 2], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOAR, UpdateRule.SGD, 1e-3, [None, 2, 4, 1, 2, 3], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOAR, UpdateRule.ADAMM, 1e-3, [None, 2, 4, 1, 2, 3], OVERFLOWING_NOISE),
+    (EstimatorKind.ZOAR, UpdateRule.RADAZO, 1e-3, [None, 2, 4, 1, 2, 3], OVERFLOWING_NOISE),
 ])
-def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch,
-                                                            kind, rule, eta, diverged_at):
+def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch, kind,
+                                                            rule, eta, diverged_at, setup):
     # rows that diverge leave the group mid-run; the rows left behind keep
     # their ring, history and moments, so every repeat's trace is the one
-    # it gets when it runs alone
+    # it gets when it runs alone.  A non-finite query value stops its run
+    # by the same rule, for every kind, and nothing warns or raises
+    objective, mu, iterations = setup
     cfg = RunConfig(
-        objective=ObjectiveSpec(ObjectiveKind.ROSENBROCK, 4, noise_sigma=0.1),
-        estimator_kind=kind, estimator=EstimatorConfig(mu=0.05, k=3, n=3),
+        objective=objective, estimator_kind=kind, estimator=EstimatorConfig(mu=mu, k=3, n=3),
         optimizer=OptimizerConfig(rule=rule, eta=eta, beta2=0.9),
-        iterations=40, repeats=6, master_seed=7, theta0=Theta0Spec(lo=-2.5, hi=2.5))
+        iterations=iterations, repeats=6, master_seed=7, theta0=Theta0Spec(lo=-2.5, hi=2.5))
     calls = []
     run_optimization = bench.run_optimization
 
@@ -111,6 +133,8 @@ def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch
         # the file ends with the value that stopped the run, so it reads
         # back with the same divergence
         assert bench.read_trace_csv(tmp_path / f"g{i}.csv").diverged_at == g.diverged_at
+        if setup is OVERFLOWING_NOISE and g.diverged_at is not None:
+            assert g.f_clean[-1] == math.inf
 
 
 def test_wide_repeats_keep_one_ring_live_at_a_time():

@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import importlib.util
+import itertools
 import json
 import sys
 import warnings
@@ -129,6 +131,98 @@ theta0_value = 1e100
     for r in range(2):  # the start row alone, which reads back as diverged
         back = bench.read_trace_csv(out / f"trace_r{r}.csv")
         assert back.f_clean.tolist() == [np.inf] and back.diverged_at == 0
+
+
+OVERFLOW = """
+[objective]
+kind = quadratic
+dim = 4
+noise_sigma = {noise_sigma}
+
+[estimator]
+kind = {kind}
+mu = {mu}
+k = 2
+n = 2
+
+[run]
+iterations = 5
+repeats = 2
+"""
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "zohs", "zoar"])
+@pytest.mark.parametrize("noise_sigma,mu", [("0", "1e300"), ("1e308", "0.05")])
+def test_overflowing_query_values_end_the_run_as_exit_3(tmp_path, capfd, kind, noise_sigma,
+                                                         mu):
+    # zoar's ring used to refuse the non-finite values with a traceback,
+    # and vanilla and zohs printed invalid-value warnings; each repeat now
+    # stops at the iteration whose parameters went non-finite
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(OVERFLOW.format(noise_sigma=noise_sigma, kind=kind, mu=mu))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", str(cfg), "--out", str(out)) == 3
+    assert capfd.readouterr().err == ""
+    for r in range(2):
+        back = bench.read_trace_csv(out / f"trace_r{r}.csv")
+        assert back.f_clean[-1] == np.inf and back.diverged_at >= 1
+
+
+def test_sweep_with_overflowing_cells_matches_its_finite_cells_alone(tmp_path, capfd):
+    # the cells of mu = 1e300 diverge in the group of all four; the others
+    # keep the bytes of a sweep without them
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(OVERFLOW.format(noise_sigma="0", kind="[vanilla, zoar]", mu="[0.05, 1e300]"))
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep", str(cfg), "--out", str(out)) == 0
+        cfg.write_text(OVERFLOW.format(noise_sigma="0", kind="[vanilla, zoar]", mu="0.05"))
+        assert run_cli("sweep", str(cfg), "--out", str(tmp_path / "alone")) == 0
+    assert capfd.readouterr().err == ""
+    table = (out / "speedup.csv").read_text().splitlines()
+    for kind in ("vanilla", "zoar"):
+        assert f"estimator.kind={kind}__estimator.mu=1e300,diverged,," in table
+        cell = out / f"estimator.kind={kind}__estimator.mu=0.05"
+        alone = tmp_path / "alone" / f"estimator.kind={kind}"
+        assert sorted(p.name for p in cell.iterdir()) == sorted(p.name for p in alone.iterdir())
+        for path in cell.iterdir():
+            if path.name.startswith("trace_"):
+                assert _strip_wall(path) == _strip_wall(alone / path.name), path
+            else:
+                assert path.read_bytes() == (alone / path.name).read_bytes(), path
+
+
+def test_mu_whose_perturbation_overflows_is_exit_2(tmp_path, capsys):
+    # mu * u overflowed for a Gaussian entry of |u| > 1.8, and the
+    # evaluation refused the non-finite point with a traceback
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(OVERFLOW.format(noise_sigma="0", kind="vanilla", mu="1e308"))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "mu must be positive and at most" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_undecodable_config_is_exit_2(tmp_path, capsys, command):
+    # a latin-1 byte in a comment was a UnicodeDecodeError traceback
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"[objective]\n# step \xb5 = 0.05\ndim = 4\n")
+    out = tmp_path / "out"
+    assert run_cli(command, str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "decode" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_with_byte_order_mark_is_read(tmp_path, command):
+    # the mark used to make the first section header a bad line
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().encode())
+    assert run_cli(command, str(cfg), "--out", str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("lo,hi", [("-1e308", "1e308"), ("1", "-1")])
@@ -357,6 +451,24 @@ def test_verify_failure_is_exit_4(monkeypatch):
 
     monkeypatch.setattr(verify, "run_suite", fake_suite)
     assert run_cli("verify", "exact") == 4
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+def test_committed_configs_build_and_run(path):
+    # each committed config parses, builds every cell of its grid (the
+    # kind x n grid of sweep_desk.cfg has 4), and runs cut to 3
+    # iterations of 1 repeat
+    values = cli.parse_config(path.read_text())
+    swept = sorted(key for key, raw in values.items() if isinstance(raw, list))
+    cfgs = [dataclasses.replace(cli.build_run_config({**values, **dict(zip(swept, combo))}),
+                                iterations=3, repeats=1)
+            for combo in itertools.product(*(values[key] for key in swept))]
+    assert len(cfgs) == (4 if path.name == "sweep_desk.cfg" else 1)
+    for traces in bench.run_sweep(cfgs):
+        assert [t.completed and t.f_clean.size == 4 for t in traces] == [True]
 
 
 def test_sweep_empty_list_is_exit_2(tmp_path):

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import zoar._kernels as kernels
 from zoar import estimators, objectives, sampling, verify
-from zoar.estimators import (EstimatorConfig, HistoryBuffer, InsufficientHistoryError,
-                             c_n_constant, fd_estimate, gamma_factor,
-                             reinforce_gs_estimate, reinforce_is_estimate,
+from zoar.estimators import (EstimatorConfig, HistoryBuffer, c_n_constant, fd_estimate,
+                             gamma_factor, reinforce_gs_estimate, reinforce_is_estimate,
                              zoar_estimate, zohs_estimate)
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
 from zoar.sampling import DistTag
@@ -293,14 +292,6 @@ def test_zoar_baseline_is_mean_of_ring():
     assert np.array_equal(zoar_estimate(const, mu=1.0), np.zeros((1, 2)))
 
 
-def test_push_block_rejects_non_finite():
-    buf = _ring(2, 2)
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            buf.push_block(_rows([1, 2]), [[1.0, bad]])
-    assert len(buf) == 0
-
-
 def test_push_block_shift_allocates_less_than_a_block():
     # an overlapping shift of the whole ring would copy it into a
     # temporary of (n-1)*k*d floats first
@@ -337,11 +328,14 @@ def test_zoar_equal_values_gives_zero():
     assert np.array_equal(zoar_estimate(buf, mu=0.1), np.zeros((1, 3)))
 
 
-def test_zoar_requires_two_records():
-    buf = _ring(1, 4)
-    buf.push_block(_rows([0]), [[1.0]])
-    with pytest.raises(InsufficientHistoryError):
-        zoar_estimate(buf, mu=0.1)
+def test_zoar_single_record_gives_zero():
+    # the k = 1 warm-up: one query is its own baseline, whatever its value
+    for value in (1.0, float("inf"), float("nan")):
+        buf = _ring(1, 4)
+        buf.push_block(_rows([0]), [[value]])
+        grad = zoar_estimate(buf, mu=0.1)
+        assert grad.shape == (1, 2) and np.array_equal(grad, np.zeros((1, 2)))
+        assert not np.signbit(grad).any()
 
 
 @pytest.mark.parametrize("tag", list(DistTag))
@@ -496,3 +490,19 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(mu=0.1, k=1, n=1).require_reusable()
     EstimatorConfig(mu=0.1, k=2, n=1).require_reusable()
+
+
+def test_mu_is_bounded_so_that_every_perturbation_is_finite():
+    # the open-(0, 1) draws nearest 0 and 1 give the largest Gaussian entries
+    extremes = kernels.pure.normal_icdf(np.array([2.0 ** -53, 1.0 - 2.0 ** -53]))
+    assert np.max(np.abs(extremes)) <= estimators.LARGEST_ENTRY[DistTag.GAUSSIAN]
+    for tag in DistTag:
+        top = sys.float_info.max / estimators.LARGEST_ENTRY[tag]
+        assert EstimatorConfig(mu=top, k=1, tag=tag).mu == top
+        u = extremes if tag is DistTag.GAUSSIAN else np.array([-1.0, 1.0])
+        assert np.all(np.isfinite(top * u))
+        with pytest.raises(ValueError, match="mu must be positive and at most"):
+            EstimatorConfig(mu=math.nextafter(top, math.inf), k=1, tag=tag)
+    EstimatorConfig(mu=1e300, k=1)
+    with pytest.raises(ValueError, match="mu must be"):
+        EstimatorConfig(mu=1e308, k=1)

@@ -168,6 +168,34 @@ def test_zoar_with_single_query_warmup():
     assert trace.f_clean[1] == trace.f_clean[0]
 
 
+def test_zoar_warm_up_overflow_stops_the_run_at_iteration_2(monkeypatch):
+    # with k = 1 the first estimate is zero whatever the value, so row 0's
+    # overflowing first query moves nothing until iteration 2 reads it
+    # into the baseline; row 1 runs on as it runs alone
+    d, T, seeds = 8, 5, [3, 17]
+    theta0 = (kernels.uniform_doubles(11, 2 * d) - 0.5).reshape(2, d)
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d)
+    est = EstimatorConfig(mu=0.05, k=1, n=4)
+    arm = Arm(spec, EstimatorKind.ZOAR, est, OptimizerConfig(eta=0.01), theta0)
+    [[alone]] = run_optimization([Arm(spec, EstimatorKind.ZOAR, est, arm.opt_cfg,
+                                      theta0[1:])], T, seeds[1:])
+    real, calls = objectives.eval, []
+
+    def overflowing(spec_, points, noise_seed=0):
+        values = real(spec_, points, noise_seed)
+        if not calls:
+            values[0] = np.inf
+        calls.append(points.shape[0])
+        return values
+
+    monkeypatch.setattr(objectives, "eval", overflowing)
+    [[row0, row1]] = run_optimization([arm], T, seeds)
+    assert row0.f_clean.tolist() == [row0.f_clean[0]] * 2 + [np.inf]
+    assert row0.diverged_at == 2
+    assert row1.f_clean.tolist() == alone.f_clean.tolist() and row1.completed
+    assert calls == [2, 2] + [1] * (T - 2)
+
+
 def test_zoar_rejects_unusable_history_config():
     with pytest.raises(ValueError):
         _run(ObjectiveKind.QUADRATIC, EstimatorKind.ZOAR, T=2, k=1, n=1)
