@@ -43,15 +43,15 @@ def _parse_bool(raw: str) -> bool:
 
 # (section, key) -> (converter, default); the only keys the grammar accepts
 _SCHEMA = {
-    ("objective", "kind"): (str, "quadratic"),
+    ("objective", "kind"): (ObjectiveKind.parse, "quadratic"),
     ("objective", "dim"): (int, "100"),
     ("objective", "noise_sigma"): (float, "0"),
-    ("estimator", "kind"): (str, "vanilla"),
-    ("estimator", "tag"): (str, "gaussian"),
+    ("estimator", "kind"): (EstimatorKind.parse, "vanilla"),
+    ("estimator", "tag"): (DistTag.parse, "gaussian"),
     ("estimator", "mu"): (float, "0.05"),
     ("estimator", "k"): (int, "10"),
     ("estimator", "n"): (int, "6"),
-    ("optimizer", "rule"): (str, "radazo"),
+    ("optimizer", "rule"): (UpdateRule.parse, "radazo"),
     ("optimizer", "eta"): (float, "0.001"),
     ("optimizer", "beta1"): (float, "0.9"),
     ("optimizer", "beta2"): (float, "0.999"),
@@ -60,7 +60,7 @@ _SCHEMA = {
     ("run", "iterations"): (int, "2000"),
     ("run", "repeats"): (int, "5"),
     ("run", "master_seed"): (int, "0"),
-    ("run", "theta0_mode"): (str, "uniform"),
+    ("run", "theta0_mode"): (lambda raw: bench.Theta0Mode(raw.strip().lower()), "uniform"),
     ("run", "theta0_value"): (float, "0"),
     ("run", "theta0_lo"): (float, "-2"),
     ("run", "theta0_hi"): (float, "2"),
@@ -134,31 +134,23 @@ def build_run_config(values: dict, seed_override: int | None = None) -> bench.Ru
         return value
 
     try:
-        objective = ObjectiveSpec(ObjectiveKind.parse(get("objective", "kind")),
-                                  get("objective", "dim"),
+        objective = ObjectiveSpec(get("objective", "kind"), get("objective", "dim"),
                                   get("objective", "noise_sigma"))
-        kind_name = get("estimator", "kind")
-        if kind_name.strip().lower() not in ("vanilla", "zohs", "zoar"):
-            raise ConfigError(f"bad value for estimator.kind: {kind_name!r}")
-        estimator_kind = EstimatorKind.parse(kind_name)
+        estimator_kind = get("estimator", "kind")
         estimator = EstimatorConfig(mu=get("estimator", "mu"),
                                     k=get("estimator", "k"),
                                     n=get("estimator", "n"),
-                                    tag=DistTag.parse(get("estimator", "tag")))
+                                    tag=get("estimator", "tag"))
         if estimator_kind is EstimatorKind.ZOAR:
             estimator.require_reusable()
-        optimizer = OptimizerConfig(rule=UpdateRule.parse(get("optimizer", "rule")),
+        optimizer = OptimizerConfig(rule=get("optimizer", "rule"),
                                     eta=get("optimizer", "eta"),
                                     beta1=get("optimizer", "beta1"),
                                     beta2=get("optimizer", "beta2"),
                                     zeta=get("optimizer", "zeta"),
                                     bias_correction=get("optimizer", "bias_correction"))
-        mode_name = get("run", "theta0_mode")
-        try:
-            mode = bench.Theta0Mode(mode_name.strip().lower())
-        except ValueError:
-            raise ConfigError(f"bad value for run.theta0_mode: {mode_name!r}") from None
-        theta0 = bench.Theta0Spec(mode=mode, value=get("run", "theta0_value"),
+        theta0 = bench.Theta0Spec(mode=get("run", "theta0_mode"),
+                                  value=get("run", "theta0_value"),
                                   lo=get("run", "theta0_lo"),
                                   hi=get("run", "theta0_hi"))
         master_seed = get("run", "master_seed")
@@ -262,27 +254,33 @@ def _cell_name(assignment: dict) -> str:
     return "__".join(f"{sec}.{key}={val}" for (sec, key), val in assignment.items())
 
 
-def cmd_sweep(args) -> int:
-    values = _read_config(args.config)
-    swept = {sk: raw for sk, raw in values.items() if isinstance(raw, list)}
-    fixed = {sk: raw for sk, raw in values.items() if not isinstance(raw, list)}
-    keys = sorted(swept)
-    combos = list(itertools.product(*(swept[k] for k in keys))) if keys else [()]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def build_plan(values: dict) -> list[tuple[str, bench.RunConfig]]:
+    """The cells of parsed config ``values`` as (name, RunConfig) pairs:
+    one per combination of the list values, the list keys sorted, each
+    over the fixed keys and with the ``ZOAR_SEED`` override.  A cell is
+    named by its assignment, ``all`` when nothing is swept; one that does
+    not build raises a ConfigError that names it."""
+    keys = sorted(sk for sk, raw in values.items() if isinstance(raw, list))
     cells = []
-    for combo in combos:
+    for combo in itertools.product(*(values[sk] for sk in keys)):
         assignment = dict(zip(keys, combo))
         name = _cell_name(assignment) if assignment else "all"
-        cell_values = dict(fixed)
-        cell_values.update(assignment)
         try:
-            cfg = build_run_config(cell_values, _seed_override())
+            cells.append((name, build_run_config({**values, **assignment}, _seed_override())))
         except ConfigError as exc:
-            print(f"config error in cell {name}: {exc}", file=sys.stderr)
-            return 2
-        cells.append((name, cfg))
+            raise ConfigError(f"in cell {name}: {exc}") from None
+    return cells
+
+
+def cmd_sweep(args) -> int:
+    values = _read_config(args.config)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cells = build_plan(values)
+    except ConfigError as exc:  # its message names the cell
+        print(f"config error {exc}", file=sys.stderr)
+        return 2
 
     names = [name for name, _ in cells]
     reference = args.reference if args.reference is not None else names[0]

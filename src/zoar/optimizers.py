@@ -50,7 +50,6 @@ class UpdateRule(enum.Enum):
 
 class EstimatorKind(enum.Enum):
     VANILLA = "vanilla"
-    REINFORCE_GS = "reinforce_gs"
     ZOHS = "zohs"
     ZOAR = "zoar"
 
@@ -200,7 +199,6 @@ def _step(s: LoopState, arm: Arm, t: int, dirs: np.ndarray, values: np.ndarray) 
         s.ring.push_block(dirs, values)
         grad = estimators.zoar_estimate(s.ring, est_cfg.mu)
     else:
-        # vanilla and the score-function twin share one kernel
         grad = estimators.difference_gradient(values, dirs, est_cfg)
         if arm.kind is EstimatorKind.ZOHS:
             full = s.grads.shape[1] == est_cfg.n  # then the oldest drops out
@@ -358,8 +356,6 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
             raise ValueError("initial point contains non-finite entries")
         if arm.kind is EstimatorKind.ZOAR:
             arm.est_cfg.require_reusable()
-        elif arm.kind is EstimatorKind.REINFORCE_GS:
-            arm.est_cfg.require_gaussian()
 
     roots = sampling.stream_roots(seeds)
     per_chunk = max(1, CHUNK_ELEMENTS // (R * k * d))

@@ -8,13 +8,16 @@ against depth 6 (see the analysis in the project notes).  Every other
 leg is asserted.
 """
 
+import functools
+import math
 import time
 
 import numpy as np
 import pytest
+from test_reference_loop import _flipped_sign
 
 import zoar._kernels as kernels
-from zoar import bench, cli, verify
+from zoar import bench, cli, objectives, sampling, verify
 from zoar.estimators import EstimatorConfig, c_n_constant, gamma_factor
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
 from zoar.optimizers import Arm, EstimatorKind, OptimizerConfig, UpdateRule, run_optimization
@@ -136,23 +139,78 @@ def test_criterion_7_history_constant():
     assert abs(c92 - 1.05556) < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# criterion 8: ZOO iterates are score-function iterates.  The loop's
+# finite-difference run is compared with a run whose gradient is the
+# score-function estimate written out, from the same seeds.
+
+_C8_SEED, _C8_T = 800, 400
+_C8_SPEC = ObjectiveSpec(ObjectiveKind.QUADRATIC, 100)
+_C8_EST = EstimatorConfig(mu=0.05, k=10, tag=DistTag.GAUSSIAN)
+_C8_OPT = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001)
+_C8_REL = 1e-9
+
+
+def _c8_theta0():
+    return kernels.uniform_doubles(808, _C8_SPEC.dim) - 0.5
+
+
+@functools.lru_cache(maxsize=None)
+def _score_function_run() -> tuple[float, ...]:
+    """Clean values of one R-AdaZO run whose gradient is the REINFORCE
+    estimate of the Gaussian policy N(theta, mu^2 I) with the centre value
+    as baseline, as the paper states it: the mean over the k queries x of
+    (x - theta)/mu^2 * (f(x) - f(theta)).  One query at a time, from the
+    loop's seeds (``sampling.direction_seed``/``noise_seed``), directions
+    (``kernels.materialize``) and values (``objectives.eval``); nothing
+    comes from ``estimators`` or ``optimizers``."""
+    spec, mu, k, opt = _C8_SPEC, _C8_EST.mu, _C8_EST.k, _C8_OPT
+    theta = _c8_theta0()
+    m, v = np.zeros(spec.dim), np.zeros(spec.dim)
+    f = [objectives.clean_value(spec, theta)]
+    for t in range(1, _C8_T + 1):
+        noise = sampling.noise_seed(_C8_SEED, t)
+        baseline = objectives.eval(spec, theta, noise)
+        g = np.zeros(spec.dim)
+        for j in range(1, k + 1):
+            u = kernels.materialize(sampling.direction_seed(_C8_SEED, t, j), _C8_EST.tag, spec.dim)
+            x = theta + mu * u
+            g += (x - theta) / mu**2 * (objectives.eval(spec, x, noise) - baseline)
+        g /= k
+        m = opt.beta1 * m + (1.0 - opt.beta1) * g
+        v = opt.beta2 * v + (1.0 - opt.beta2) * m * m
+        theta = theta - opt.eta * m / np.sqrt(v + opt.zeta)
+        f.append(objectives.clean_value(spec, theta))
+    return tuple(f)
+
+
+def _criterion8_gap():
+    """The vanilla loop's trace, and the largest relative gap between its
+    clean values and the score-function run's (``inf`` when their lengths
+    differ)."""
+    arm = Arm(_C8_SPEC, EstimatorKind.VANILLA, _C8_EST, _C8_OPT, _c8_theta0()[None])
+    [[zoo]] = run_optimization([arm], _C8_T, [_C8_SEED])
+    score = _score_function_run()
+    if zoo.f_clean.size != len(score):
+        return zoo, math.inf
+    return zoo, max(abs(a - b) / max(abs(a), abs(b)) for a, b in zip(zoo.f_clean.tolist(), score))
+
+
 def test_criterion_8_equivalence_experiment():
     tic = time.perf_counter()
-    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 100)
-    est = EstimatorConfig(mu=0.05, k=10, tag=DistTag.GAUSSIAN)
-    opt = OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.001)
-    theta0 = (kernels.uniform_doubles(808, 100) - 0.5)[None]
-    arms = [Arm(spec, kind, est, opt, theta0)
-            for kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS)]
-    # two arms of one loop: both draw seed 800's directions and noise
-    [zoo], [rf] = run_optimization(arms, 400, [800])
-    same = (zoo.f_clean.tolist() == rf.f_clean.tolist()
-            and zoo.queries_per_iter == rf.queries_per_iter)
+    zoo, gap = _criterion8_gap()
     elapsed = time.perf_counter() - tic
-    announce(8, same, "ZOO and score-function traces identical over 400 "
-                      "iterations at d=100", elapsed)
-    assert same
-    assert zoo.f_clean.size == rf.f_clean.size == 401
+    # the score-function estimate queries the k points and the centre
+    ok = gap <= _C8_REL and zoo.completed and zoo.queries_per_iter == _C8_EST.k + 1
+    announce(8, ok, f"ZOO vs score-function iterates: max rel gap {gap:.3g} over "
+                    f"{_C8_T} iterations at d={_C8_SPEC.dim}", elapsed)
+    assert zoo.f_clean.size == _C8_T + 1
+    assert ok
+
+
+def test_criterion_8_catches_a_flipped_sign(monkeypatch):
+    _flipped_sign(monkeypatch)
+    assert _criterion8_gap()[1] > _C8_REL
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import importlib.util
-import itertools
 import json
 import sys
 import warnings
@@ -310,6 +309,20 @@ def test_estimator_kind_ignores_case(tmp_path, capsys, kind, code):
 
 
 @pytest.mark.parametrize("section,key", [
+    ("objective", "kind"), ("estimator", "kind"), ("estimator", "tag"),
+    ("optimizer", "rule"), ("run", "theta0_mode"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_enum_value_names_its_key(tmp_path, capsys, command, section, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[{section}]\n{key} = foo\n")
+    assert run_cli(command, str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"bad value for {section}.{key}: 'foo'" in capsys.readouterr().err
+    if command == "run":
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,key", [
     ("objective", "dim"), ("estimator", "k"), ("estimator", "n"),
 ])
 def test_non_integer_count_is_config_error(tmp_path, capsys, section, key):
@@ -461,11 +474,8 @@ def test_committed_configs_build_and_run(path):
     # each committed config parses, builds every cell of its grid (the
     # kind x n grid of sweep_desk.cfg has 4), and runs cut to 3
     # iterations of 1 repeat
-    values = cli.parse_config(path.read_text())
-    swept = sorted(key for key, raw in values.items() if isinstance(raw, list))
-    cfgs = [dataclasses.replace(cli.build_run_config({**values, **dict(zip(swept, combo))}),
-                                iterations=3, repeats=1)
-            for combo in itertools.product(*(values[key] for key in swept))]
+    cfgs = [dataclasses.replace(cfg, iterations=3, repeats=1)
+            for _, cfg in cli.build_plan(cli.parse_config(path.read_text()))]
     assert len(cfgs) == (4 if path.name == "sweep_desk.cfg" else 1)
     for traces in bench.run_sweep(cfgs):
         assert [t.completed and t.f_clean.size == 4 for t in traces] == [True]

