@@ -274,8 +274,6 @@ def build_plan(values: dict) -> list[tuple[str, bench.RunConfig]]:
 
 def cmd_sweep(args) -> int:
     values = _read_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cells = build_plan(values)
     except ConfigError as exc:  # its message names the cell
@@ -288,6 +286,8 @@ def cmd_sweep(args) -> int:
         print(f"error: unknown reference cell {reference!r}; have {names}",
               file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before the run
 
     results = {}
     for (name, cfg), traces in zip(cells, bench.run_sweep([cfg for _, cfg in cells])):

@@ -32,13 +32,15 @@ built once.
 
 Every estimate reduces its directions through one j-ordered sum, the
 operation sequence of ``_kernels.weighted_direction_sum``: each entry is
-0.0 + c_0 u_0 + c_1 u_1 + ..., added left to right.  The sum has two
-forms with the same bits.  While the products hold at most
-``SUM_ELEMENTS`` (2**16) entries, all c_j u_j go into one buffer (a
-ring's at most two slot ranges, oldest first, written straight from the
-ring) and one ``np.add.reduce`` over the term axis adds them, which NumPy
-does term after term for every entry; above that, and for one-entry
-terms, which NumPy would add pairwise, a loop adds one term at a time.
+0.0 + c_0 u_0 + c_1 u_1 + ..., added left to right.  The verifier's
+reuse estimates and S_yu sums take the same sum, over a chunk of trials'
+histories at once.  The sum has two forms with the same bits.  While the
+products hold at most ``SUM_ELEMENTS`` (2**16) entries, all c_j u_j go
+into one buffer (a ring's at most two slot ranges, oldest first, written
+straight from the ring) and one ``np.add.reduce`` over the term axis
+adds them, which NumPy does term after term for every entry; above that,
+and for one-entry terms, which NumPy would add pairwise, a loop adds one
+term at a time.
 A desk step (d = 100, 5 runs, a ring of 60) takes the single pass; a
 d = 10**4 ring takes the loop, whose (d,) temporaries stay in cache.
 

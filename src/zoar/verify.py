@@ -9,10 +9,11 @@ only the algebraic identities use absolute tolerances (0 exactly, or
 The history checks draw directions with :func:`estimators.directions`
 and turn them into points, values and noise through
 :func:`estimators.query_block`, the optimisation loop's own query path,
-in one sampler, :func:`_history_queries`.  Only the two reductions over
-each trial's history are the verifier's own: the averaged-baseline
-estimate (:func:`_history_estimates`) and the squared error at fixed
-baselines (:func:`_baseline_variances`).
+in one sampler, :func:`_history_queries`, and sum them with the loop's
+``estimators._weighted_sum``.  Only the coefficients are the verifier's
+own: the averaged-baseline ones (:func:`_history_estimates`) and the raw
+values behind the squared error at fixed baselines
+(:func:`_baseline_variances`).
 
 The Monte-Carlo checks walk their trials in chunks of at most
 ``TRIAL_CHUNK_ELEMENTS`` direction entries (trials x queries x d), so
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from . import estimators, objectives, sampling
-from .estimators import EstimatorConfig, direction_scale, gamma_factor
+from .estimators import EstimatorConfig, gamma_factor
 from .objectives import ObjectiveKind, ObjectiveSpec
 from .sampling import DistTag
 
@@ -56,8 +57,9 @@ _NS_NOISEROOT = 0x15
 
 # direction entries per trial chunk, chosen by timing the statistical
 # suite (pure backend, 2-vCPU Xeon with 2 MiB L2 per core, median of 4):
-# 2**14 1.63 s, 2**15 1.28 s, 2**16 1.08 s, 2**17 1.13 s, 2**18 1.35 s
-TRIAL_CHUNK_ELEMENTS = 1 << 16
+# 2**14 1.63 s, 2**15 1.28 s, 2**16 1.08 s, 2**17 1.13 s, 2**18 1.35 s;
+# at most the loop sum's one-pass size, so a chunk's sums take that form
+TRIAL_CHUNK_ELEMENTS = estimators.SUM_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorised history sampling: the loop's query_block draws the queries;
-# the two reductions over them are this module's, the averaged-baseline
-# one pinned to estimators.zoar_estimate by a unit test
+# vectorised history sampling through the loop's query_block and
+# _weighted_sum; the averaged-baseline coefficients are pinned to
+# estimators.zoar_estimate by a unit test
 
 def _chunked(trials: int, per_trial: int):
     """(start, size) chunks of ``trials`` with at most
@@ -94,18 +96,20 @@ def _reuse_scale(cfg: EstimatorConfig, theta_seq: np.ndarray) -> float:
     """Factor of the reuse estimate over a full history of
     ``theta_seq.shape[0]`` blocks of ``cfg.k`` queries."""
     n_blocks, d = theta_seq.shape
-    return direction_scale(cfg.tag, d) / ((n_blocks * cfg.k - 1) * cfg.mu)
+    return estimators.direction_scale(cfg.tag, d) / ((n_blocks * cfg.k - 1) * cfg.mu)
 
 
-def _history_queries(spec: ObjectiveSpec, theta_seq: np.ndarray,
+def _history_queries(specs: list[ObjectiveSpec], theta_seq: np.ndarray,
                      cfg: EstimatorConfig, trials: int, seed: int):
-    """Independent history fills, one chunk of trials at a time.
+    """Independent history fills, one chunk of trials at a time, each
+    evaluated on every objective of ``specs``.
 
     ``theta_seq`` has shape (n_blocks, d); block b of every trial is
     drawn at theta_seq[b] with its own noise seed by
     :func:`estimators.query_block`, as one iteration of the optimization
     loop draws it.  Yields ``(start, values, dirs)`` per chunk, with
-    values of shape (size, m) and dirs of shape (size, m, d), m =
+    values a list of one (size, m) array per objective, all at the same
+    points and noise seeds, and dirs of shape (size, m, d), m =
     n_blocks·k, for trials start .. start + size - 1.
 
     Trials are drawn ``TRIAL_CHUNK_ELEMENTS // (m·d)`` at a time (at
@@ -124,23 +128,27 @@ def _history_queries(spec: ObjectiveSpec, theta_seq: np.ndarray,
         dir_seeds = kernels.np_fold(block_roots[:, :, None], np.arange(cfg.k, dtype=np.uint64))
         noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
         dirs = estimators.directions(dir_seeds, cfg.tag, d)
-        values = estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
-        yield start, values.reshape(size, m), dirs.reshape(size, m, d)
+        values = [estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
+                  .reshape(size, m) for spec in specs]
+        yield start, values, dirs.reshape(size, m, d)
         del dirs, values  # before the next chunk is drawn
 
 
-def _history_estimates(spec: ObjectiveSpec, theta_seq: np.ndarray,
-                       cfg: EstimatorConfig, trials: int, seed: int) -> np.ndarray:
-    """Reuse-estimator samples, shape (trials, d), over the independent
-    history fills of :func:`_history_queries`, each reduced with the
-    averaged baseline (the mean of its trial's values)."""
+def _history_estimates(specs: list[ObjectiveSpec], theta_seq: np.ndarray,
+                       cfg: EstimatorConfig, trials: int, seed: int) -> list[np.ndarray]:
+    """Reuse-estimator samples, one (trials, d) array per objective of
+    ``specs``, over the independent history fills of
+    :func:`_history_queries`, each reduced with the averaged baseline
+    (the mean of its trial's values)."""
     theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
     scale = _reuse_scale(cfg, theta_seq)
-    out = np.empty((trials, theta_seq.shape[1]))
-    for start, values, dirs in _history_queries(spec, theta_seq, cfg, trials, seed):
-        coeffs = values - values.mean(axis=1, keepdims=True)
-        out[start:start + values.shape[0]] = scale * np.einsum("tm,tmd->td", coeffs, dirs)
-        del values, dirs, coeffs
+    out = [np.empty((trials, theta_seq.shape[1])) for _ in specs]
+    for start, values, dirs in _history_queries(specs, theta_seq, cfg, trials, seed):
+        spans = [dirs.swapaxes(0, 1)]
+        for est, v in zip(out, values):
+            coeffs = v - v.mean(axis=1, keepdims=True)
+            est[start:start + v.shape[0]] = scale * estimators._weighted_sum(coeffs, spans)
+        del values, dirs, spans, v, coeffs
     return out
 
 
@@ -158,9 +166,9 @@ def _baseline_variances(spec: ObjectiveSpec, theta_seq: np.ndarray,
     """
     scale = _reuse_scale(cfg, theta_seq)
     sq = np.empty((probes.shape[0], trials))
-    for start, values, dirs in _history_queries(spec, theta_seq, cfg, trials, seed):
+    for start, (values,), dirs in _history_queries([spec], theta_seq, cfg, trials, seed):
         stop = start + values.shape[0]
-        s_yu = np.einsum("tm,tmd->td", values, dirs)
+        s_yu = estimators._weighted_sum(values, [dirs.swapaxes(0, 1)])
         s_u = dirs.sum(axis=1)
         for pi, b in enumerate(probes):
             sq[pi, start:stop] = np.sum((scale * (s_yu - b * s_u) - target) ** 2, axis=1)
@@ -282,7 +290,7 @@ def check_history_estimator_mean(spec: ObjectiveSpec, theta_seq, cfg: EstimatorC
     _require_trials(trials)
     theta_seq = np.atleast_2d(np.asarray(theta_seq, dtype=np.float64))
     target = theta_seq.mean(axis=0)
-    est = _history_estimates(spec, theta_seq, cfg, trials, seed)
+    est, = _history_estimates([spec], theta_seq, cfg, trials, seed)
     se = est.std(axis=0, ddof=1) / math.sqrt(trials)
     z = np.abs(est.mean(axis=0) - target) / se
     stat = float(z.max())
@@ -325,11 +333,14 @@ def check_optimal_baseline(spec: ObjectiveSpec, theta_seq,
                               f"var(b*+1)={v_plus:.4g}")
 
 
-def _frozen_variance(spec: ObjectiveSpec, theta: np.ndarray, cfg: EstimatorConfig,
-                     depth: int, trials: int, seed: int) -> float:
+def _frozen_variances(specs: list[ObjectiveSpec], theta: np.ndarray,
+                      cfg: EstimatorConfig, depth: int, trials: int,
+                      seed: int) -> list[float]:
+    """Mean coordinate variance of the reuse estimate at a frozen theta,
+    per objective of ``specs``, from one draw."""
     theta_seq = np.repeat(theta[None, :], depth, axis=0)
-    est = _history_estimates(spec, theta_seq, cfg, trials, seed)
-    return float(est.var(axis=0, ddof=1).mean())
+    return [float(est.var(axis=0, ddof=1).mean())
+            for est in _history_estimates(specs, theta_seq, cfg, trials, seed)]
 
 
 def check_variance_scaling(spec: ObjectiveSpec, theta, cfg: EstimatorConfig,
@@ -339,26 +350,27 @@ def check_variance_scaling(spec: ObjectiveSpec, theta, cfg: EstimatorConfig,
     Verifies Var(depth)/Var(1) within +-25% of 1/depth for every
     requested depth, that doubling the per-iteration query count at
     depth 1 halves the variance within the same band, and that switching
-    on observation noise strictly inflates the variance.
+    on observation noise strictly inflates the variance.  The noisy
+    variance is taken at the clean depth-1 draw's points.
     """
     _require_trials(trials)
     theta = sampling.as_params(theta, spec.dim)
-    var1 = _frozen_variance(spec, theta, cfg, 1, trials, sampling.fold(seed, 1))
+    noisy = ObjectiveSpec(spec.kind, spec.dim, noise_sigma=0.1)
+    var1, var_noisy = _frozen_variances([spec, noisy], theta, cfg, 1, trials,
+                                        sampling.fold(seed, 1))
     stat = 0.0
     lines = []
     for depth in depths:
-        var_n = _frozen_variance(spec, theta, cfg, depth, trials,
-                                 sampling.fold(seed, depth))
+        var_n, = _frozen_variances([spec], theta, cfg, depth, trials,
+                                   sampling.fold(seed, depth))
         dev = abs(var_n / var1 * depth - 1.0)
         stat = max(stat, dev)
         lines.append(f"N={depth}: ratio*N={var_n / var1 * depth:.4f}")
     cfg2 = EstimatorConfig(mu=cfg.mu, k=2 * cfg.k, n=cfg.n, tag=cfg.tag)
-    var_2k = _frozen_variance(spec, theta, cfg2, 1, trials, sampling.fold(seed, 101))
+    var_2k, = _frozen_variances([spec], theta, cfg2, 1, trials, sampling.fold(seed, 101))
     dev_k = abs(var_2k / var1 * 2.0 - 1.0)
     stat = max(stat, dev_k)
     lines.append(f"2K: ratio*2={var_2k / var1 * 2.0:.4f}")
-    noisy = ObjectiveSpec(spec.kind, spec.dim, noise_sigma=0.1)
-    var_noisy = _frozen_variance(noisy, theta, cfg, 1, trials, sampling.fold(seed, 1))
     lines.append(f"noise: {var_noisy:.4g} vs clean {var1:.4g}")
     passed = stat <= 0.25 and var_noisy > var1
     return CheckReport("variance_scaling", bool(passed), stat, 0.25, trials,

@@ -318,8 +318,7 @@ def test_bad_enum_value_names_its_key(tmp_path, capsys, command, section, key):
     cfg.write_text(f"[{section}]\n{key} = foo\n")
     assert run_cli(command, str(cfg), "--out", str(tmp_path / "o")) == 2
     assert f"bad value for {section}.{key}: 'foo'" in capsys.readouterr().err
-    if command == "run":
-        assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section,key", [
@@ -747,6 +746,7 @@ def test_sweep_unknown_reference(tmp_path):
     cfg.write_text(MINIMAL)
     assert run_cli("sweep", str(cfg), "--out", str(tmp_path / "o"),
                    "--reference", "nope") == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_plot_command(tmp_path):

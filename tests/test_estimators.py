@@ -427,7 +427,7 @@ def test_zoar_monte_carlo_mean_is_smoothed_gradient():
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
     theta = np.array([0.8, -0.4, 0.1])
     cfg = EstimatorConfig(mu=0.05, k=2, n=1, tag=DistTag.SPHERE)
-    est = verify._history_estimates(spec, theta[None, :], cfg, trials=100000, seed=31)
+    est, = verify._history_estimates([spec], theta[None, :], cfg, trials=100000, seed=31)
     se = est.std(axis=0, ddof=1) / math.sqrt(est.shape[0])
     assert np.all(np.abs(est.mean(axis=0) - theta) < 4.0 * se)
 

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_reference_loop import _half_radius, _no_sphere_factor
 
 import zoar._kernels as kernels
 from zoar import estimators, objectives, sampling, verify
@@ -24,7 +25,7 @@ def test_batch_history_path_matches_production_estimator(sigma):
     theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
     trials = 5
-    batch = verify._history_estimates(spec, theta_seq, cfg, trials, seed=123)
+    batch, = verify._history_estimates([spec], theta_seq, cfg, trials, seed=123)
 
     trial_root = sampling.fold(123, sampling.NS_TRIAL)
     for i in range(trials):
@@ -53,7 +54,7 @@ def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
     sphere = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
     grid = np.array([-1.0, 0.0, 2.5])
     monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", 100)
-    runs = [lambda: verify._history_estimates(spec, theta_seq, cfg, 23, seed=5),
+    runs = [lambda: verify._history_estimates([spec], theta_seq, cfg, 23, seed=5)[0],
             lambda: verify.check_optimal_baseline(quad, theta_seq, sphere, grid, 23, seed=5)]
     before = [run() for run in runs]
 
@@ -74,9 +75,9 @@ def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
 
     calls.clear()
     m = theta_seq.shape[0] * cfg.k
-    yielded = [(start, values.shape, dirs.shape) for start, values, dirs
-               in verify._history_queries(spec, theta_seq, cfg, 23, seed=5)]
-    assert yielded == [(start, (size, m), (size, m, 4)) for start, size in chunks]
+    yielded = [(start, [v.shape for v in values], dirs.shape) for start, values, dirs
+               in verify._history_queries([spec], theta_seq, cfg, 23, seed=5)]
+    assert yielded == [(start, [(size, m)], (size, m, 4)) for start, size in chunks]
     assert len(calls) == len(chunks)
 
 
@@ -305,9 +306,9 @@ def test_interrupted_suite_leaves_no_child(monkeypatch):
 CHUNK_BUDGETS = [1, 100, verify.TRIAL_CHUNK_ELEMENTS, 4_000_000]
 
 
-def _under_budgets(monkeypatch, fn):
+def _under_budgets(monkeypatch, fn, budgets=CHUNK_BUDGETS):
     results = []
-    for budget in CHUNK_BUDGETS:
+    for budget in budgets:
         monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", budget)
         results.append(fn())
     return results
@@ -325,13 +326,53 @@ def test_history_estimates_do_not_depend_on_chunk_size(monkeypatch, tag, sigma):
     cfg = EstimatorConfig(mu=0.07, k=3, tag=tag)
     target = CHUNK_THETA_SEQ.mean(axis=0)
     averaged = _under_budgets(monkeypatch, lambda: verify._history_estimates(
-        spec, CHUNK_THETA_SEQ, cfg, 23, seed=5))
+        [spec], CHUNK_THETA_SEQ, cfg, 23, seed=5)[0])
     variances = _under_budgets(monkeypatch, lambda: verify._baseline_variances(
         spec, CHUNK_THETA_SEQ, cfg, CHUNK_PROBES, target, 23, seed=5))
     for got in averaged[1:]:
         assert np.array_equal(got, averaged[0])
     for got in variances[1:]:
         assert np.array_equal(got, variances[0])
+
+
+@pytest.mark.parametrize("tag", list(DistTag))
+def test_one_draw_gives_each_objective_its_own_bits(monkeypatch, tag):
+    """Estimates for several objectives from one draw are, bit for bit,
+    those of one draw per objective."""
+    clean = ObjectiveSpec(ObjectiveKind.ACKLEY, 4)
+    noisy = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=0.1)
+    cfg = EstimatorConfig(mu=0.07, k=3, tag=tag)
+
+    def run():
+        both = verify._history_estimates([clean, noisy], CHUNK_THETA_SEQ, cfg, 23, seed=5)
+        alone = [verify._history_estimates([spec], CHUNK_THETA_SEQ, cfg, 23, seed=5)[0]
+                 for spec in (clean, noisy)]
+        return both, alone
+
+    for both, alone in _under_budgets(monkeypatch, run, CHUNK_BUDGETS[1:3]):
+        assert [est.tobytes() for est in both] == [est.tobytes() for est in alone]
+        assert not np.array_equal(both[0], both[1])
+
+
+def test_variance_scaling_draws_each_history_once(monkeypatch):
+    # the noisy arm shares the clean depth-1 seed, so it is evaluated at
+    # that draw: five draws in all, with the three depths and the 2K arm
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
+    cfg = EstimatorConfig(mu=0.05, k=4, tag=DistTag.SPHERE)
+    before = verify.check_variance_scaling(spec, np.full(3, 0.5), cfg, [2, 4, 6], 50, 3)
+    draws = []
+    real = verify._history_queries
+
+    def spy(specs, theta_seq, cfg_, trials, seed):
+        draws.append(([s.noise_sigma for s in specs], theta_seq.shape[0], cfg_.k, seed))
+        return real(specs, theta_seq, cfg_, trials, seed)
+
+    monkeypatch.setattr(verify, "_history_queries", spy)
+    after = verify.check_variance_scaling(spec, np.full(3, 0.5), cfg, [2, 4, 6], 50, 3)
+    assert after == before
+    assert draws == [([0.0, 0.1], 1, 4, sampling.fold(3, 1))] + [
+        ([0.0], depth, 4, sampling.fold(3, depth)) for depth in (2, 4, 6)] + [
+        ([0.0], 1, 8, sampling.fold(3, 101))]
 
 
 @pytest.mark.parametrize("tag", list(DistTag))
@@ -345,10 +386,11 @@ def test_streamed_baseline_variances_match_the_full_estimates(monkeypatch, tag, 
     target = CHUNK_THETA_SEQ.mean(axis=0)
     values = np.empty((trials, CHUNK_THETA_SEQ.shape[0] * cfg.k))
     dirs = np.empty(values.shape + (4,))
-    for start, v, u in verify._history_queries(spec, CHUNK_THETA_SEQ, cfg, trials, seed=5):
+    for start, (v,), u in verify._history_queries([spec], CHUNK_THETA_SEQ, cfg, trials,
+                                                  seed=5):
         values[start:start + v.shape[0]] = v
         dirs[start:start + v.shape[0]] = u
-    scale = verify.direction_scale(tag, 4) / ((values.shape[1] - 1) * cfg.mu)
+    scale = estimators.direction_scale(tag, 4) / ((values.shape[1] - 1) * cfg.mu)
     s_yu = np.einsum("tm,tmd->td", values, dirs)
     s_u = dirs.sum(axis=1)
     est = np.stack([scale * (s_yu - b * s_u) for b in CHUNK_PROBES])
@@ -464,3 +506,45 @@ def test_history_checks_hold_no_chunk_while_the_next_is_drawn(monkeypatch, check
     _traced_peak(lambda: check(spec, theta, cfg))
     assert len(held) == draws
     assert max(held[1:]) - held[0] < 64 << 10
+
+
+# ---------------------------------------------------------------------------
+# mutant gate: a slip in the loop's estimator code must fail a named check;
+# the sphere-factor and half-radius mutants are the reference loop's own
+
+def _negated_sum(monkeypatch):
+    real = estimators._weighted_sum
+    monkeypatch.setattr(estimators, "_weighted_sum",
+                        lambda coeffs, spans: -real(coeffs, spans))
+
+
+
+GATED_CHECKS = {
+    # the suite's first history-mean check at a tenth of its trials
+    "bias_history_mean": lambda: verify.check_history_estimator_mean(
+        ObjectiveSpec(ObjectiveKind.QUADRATIC, 5), np.linspace(0.2, 1.0, 5)[None, :],
+        EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE), trials=3000, seed=42),
+    # the suite's optimal-baseline check at a fifth of its trials
+    "optimal_baseline": lambda: verify.check_optimal_baseline(
+        ObjectiveSpec(ObjectiveKind.QUADRATIC, 10), np.eye(10)[:1],
+        EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE),
+        0.50125 + 0.05 * np.arange(-10, 11), trials=2000, seed=44),
+}
+REDUCTION_MUTANTS = [(_negated_sum, "bias_history_mean"),
+                     (_negated_sum, "optimal_baseline"),
+                     (_no_sphere_factor, "bias_history_mean"),
+                     (_half_radius, "bias_history_mean")]
+
+
+@pytest.mark.parametrize("check", sorted(GATED_CHECKS))
+def test_gated_checks_pass_on_the_clean_tree(check):
+    rep = GATED_CHECKS[check]()
+    assert rep.name == check and rep.passed, rep
+
+
+@pytest.mark.parametrize("mutant, check", REDUCTION_MUTANTS,
+                         ids=[f"{m.__name__.lstrip('_')}-{c}" for m, c in REDUCTION_MUTANTS])
+def test_verifier_catches_mutant(monkeypatch, mutant, check):
+    mutant(monkeypatch)
+    rep = GATED_CHECKS[check]()
+    assert rep.name == check and not rep.passed, rep
