@@ -12,15 +12,11 @@ from . import _kernels as kernels
 from . import sampling
 from .estimators import EstimatorConfig
 from .objectives import ObjectiveSpec
-from .optimizers import Arm, EstimatorKind, OptimizerConfig, Trace, pack, run_optimization
+from .optimizers import Arm, EstimatorKind, OptimizerConfig, Trace, run_optimization
 
 TRACE_HEADER = "iter,queries_cum,f_clean,gap,wall_ms"
 AGGREGATE_HEADER = "iter,mean_gap,std_gap,n"
 LOG_FLOOR = 1e-16  # gap values are clamped here before log-scale plotting
-# bytes of history and directions a lockstep group may hold (_arm_groups,
-# run_sweep): a group grows peak memory by its size, and past this the
-# per-step Python overhead that lockstep saves is small beside the arithmetic
-LOCKSTEP_BUDGET = 1 << 20
 
 
 class Theta0Mode(enum.Enum):
@@ -92,23 +88,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _history_bytes(cfg: RunConfig) -> int:
-    """History one repeat of the cell keeps: a ZoAR ring of n*k*d doubles,
-    a ZOHS window of n*d; vanilla keeps none."""
-    n, k, d = cfg.estimator.n, cfg.estimator.k, cfg.objective.dim
-    if cfg.estimator_kind is EstimatorKind.ZOAR:
-        return 8 * n * k * d
-    if cfg.estimator_kind is EstimatorKind.ZOHS:
-        return 8 * n * d
-    return 0
-
-
-def _seed_groups(cfg: RunConfig, rows: int):
-    """The repeats' derived seeds, ``rows`` at a time."""
-    seeds = [sampling.repeat_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
-    return [seeds[lo:lo + rows] for lo in range(0, cfg.repeats, rows)]
-
-
 def _starts(cfg: RunConfig, seeds: list[int]) -> np.ndarray:
     return np.array([cfg.theta0.build(cfg.objective.dim, sampling.theta0_seed(s))
                      for s in seeds])
@@ -125,43 +104,29 @@ def _stream(cfg: RunConfig) -> tuple:
             cfg.estimator.k, cfg.estimator.tag)
 
 
-def _arm_groups(cfgs: list[RunConfig]) -> list[list[int]]:
-    """Indices of the cells that run as arms of one loop, in cell order.
-
-    Cells share a loop only when they share a :func:`_stream`, and only
-    while the history a repeat of them keeps together fits in the larger
-    of ``LOCKSTEP_BUDGET`` and the history of the largest of those cells,
-    so a sweep never holds more history than one cell of it did.
-    """
-    return pack([_stream(c) for c in cfgs], [_history_bytes(c) for c in cfgs],
-                LOCKSTEP_BUDGET)
-
-
 def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
     """Each cell's traces, one per repeat, with per-repeat derived seeds.
 
     A repeat's initial point and query streams depend only on
     (master_seed, repeat index), so different estimators compared under
     the same master seed see matched initial points and directions.  The
-    cells of one :func:`_arm_groups` entry run as the arms of one
-    :func:`run_optimization` call per lockstep group of repeats, so each
-    chunk of seeds and directions is drawn once for all of them.  A group
-    holds as many repeats as fit ``LOCKSTEP_BUDGET``, and at least one: a
-    repeat holds its arms' history and one iteration's k*d directions,
-    which the arms share.  A repeat's trace does not depend on the group,
-    or the other cells, it ran with.
+    cells that share a :func:`_stream` run as the arms of one
+    :func:`run_optimization` call, which takes every repeat's seed and
+    start, draws each chunk of seeds and directions once for all of them
+    and decides which arms and repeats advance in lockstep.  A repeat's
+    trace does not depend on the cells it ran with.
     """
+    streams: dict = {}
+    for i, cfg in enumerate(cfgs):
+        streams.setdefault(_stream(cfg), []).append(i)
     traces: list[list[Trace]] = [[] for _ in cfgs]
-    for cells in _arm_groups(cfgs):
-        group = [cfgs[i] for i in cells]
-        k, d = group[0].estimator.k, group[0].objective.dim
-        rows = max(1, LOCKSTEP_BUDGET // (8 * k * d + sum(map(_history_bytes, group))))
-        for seeds in _seed_groups(group[0], rows):
-            arms = [Arm(c.objective, c.estimator_kind, c.estimator, c.optimizer,
-                        _starts(c, seeds)) for c in group]
-            runs = run_optimization(arms, group[0].iterations, seeds)
-            for i, arm_traces in zip(cells, runs):
-                traces[i] += arm_traces
+    for cells in streams.values():
+        first = cfgs[cells[0]]
+        seeds = [sampling.repeat_seed(first.master_seed, r) for r in range(first.repeats)]
+        arms = [Arm(c.objective, c.estimator_kind, c.estimator, c.optimizer, _starts(c, seeds))
+                for c in (cfgs[i] for i in cells)]
+        for i, arm_traces in zip(cells, run_optimization(arms, first.iterations, seeds)):
+            traces[i] = arm_traces
     return traces
 
 

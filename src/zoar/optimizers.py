@@ -1,6 +1,7 @@
 """Parameter update rules and the query-driven optimization loop, whose
 one entry is :func:`run_optimization`: a list of arms run in lockstep."""
 
+import dataclasses
 import enum
 import itertools
 import math
@@ -33,6 +34,11 @@ CHUNK_ELEMENTS = 1 << 14
 # step; at d=10**4 two arms' queries exceed the larger one's, and each
 # arm is evaluated alone.
 BATCH_ELEMENTS = 2 * CHUNK_ELEMENTS
+
+# history and direction entries (1 MiB) a lockstep group of runs may hold
+# (run_optimization): a group grows peak memory by its size, and past this the
+# per-step Python overhead that lockstep saves is small beside the arithmetic
+LOCKSTEP_ELEMENTS = 1 << 17
 
 
 class UpdateRule(enum.Enum):
@@ -159,6 +165,12 @@ class Arm:
         # the difference estimators query k points and the centre; the reuse
         # estimator reads the ring, so it needs no centre
         return self.est_cfg.k if self.kind is EstimatorKind.ZOAR else self.est_cfg.k + 1
+
+    @property
+    def history_elements(self) -> int:
+        # one run's ZoAR ring of n*k*d entries or ZOHS window of n*d (_start)
+        n, k, d = self.est_cfg.n, self.est_cfg.k, self.obj.dim
+        return {EstimatorKind.ZOAR: n * k * d, EstimatorKind.ZOHS: n * d}.get(self.kind, 0)
 
 
 @dataclass
@@ -317,31 +329,28 @@ def _advance(running: list, dirs: np.ndarray, noise: np.ndarray, t: int,
 
 def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     """Run the loop (sample, query, estimate, update, log) of every arm
-    for R ``seeds`` in lockstep; returns each arm's R traces.  This is
-    the loop's one entry: one estimator is a list of one arm.
+    for R ``seeds``; returns each arm's R traces.  This is the loop's one
+    entry: one estimator is a list of one arm, and a call takes every run
+    of a seed stream.
 
     Run r of every arm draws the directions and noise seeds of seed r, so
-    the arms must agree on k, the direction law and the dimension.  They
-    are drawn a chunk of iterations at a time (at most ``CHUNK_ELEMENTS``
-    direction entries, at least one iteration) for all R runs, once for
-    all arms: a run that stopped in every arm is still drawn until the
-    call ends, which costs no more than the same group with no run
-    stopped.  Each step evaluates the queries of the arms that share an
-    objective with one ``objectives.eval`` call (at most
-    ``BATCH_ELEMENTS`` point entries or the largest arm's), then
-    each :func:`_step` moves an arm's live runs one iteration, and one
-    ``clean_value`` call checks those arms' runs; each run gets the trace
-    it would get alone.  An arm's ``wall_ms`` is its own step's time plus
-    an equal share, among the running arms, of the step's shared work
-    (draw, evaluations, checks), divided by its rows still running.  A run
-    stops after the first clean value past the divergence limit (``inf``
-    when its parameters go non-finite), which is its trace's last row,
-    and the others carry on; the start is checked by the same rule, so a
-    start past the limit is diverged at iteration 0 and never queried.  A
-    non-finite query value, of any kind, ends its run like any non-finite
-    number, and the loop reports no RuntimeWarning for the overflow.
+    the arms must agree on k, the direction law and the dimension.  The
+    call cuts its lockstep groups itself: it packs the arms (:func:`pack`)
+    by the history a run of each keeps, up to ``LOCKSTEP_ELEMENTS`` or the
+    largest arm's, and a group takes as many runs as fit that budget with
+    one iteration's k*d directions, and at least one.  Each run gets the
+    trace it would get alone.  A run stops after the first clean value
+    past the divergence limit (``inf`` when its parameters go non-finite),
+    which is its trace's last row; the start is checked by the same rule,
+    so a start past the limit is diverged at iteration 0 and never
+    queried.  A non-finite query value, of any kind, ends its run like any
+    non-finite number, and the loop reports no RuntimeWarning for it.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    if not arms:
+        raise ValueError("a loop needs at least one arm")
+    if not seeds.size:
+        raise ValueError("a loop needs at least one run seed")
     R = seeds.size
     k, tag, d = arms[0].est_cfg.k, arms[0].est_cfg.tag, arms[0].obj.dim
     for arm in arms:
@@ -357,6 +366,31 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
         if arm.kind is EstimatorKind.ZOAR:
             arm.est_cfg.require_reusable()
 
+    traces: list[list[Trace]] = [[] for _ in arms]
+    history = [arm.history_elements for arm in arms]
+    for group in pack([None] * len(arms), history, LOCKSTEP_ELEMENTS):
+        rows = max(1, LOCKSTEP_ELEMENTS // (k * d + sum(history[i] for i in group)))
+        for lo in range(0, R, rows):
+            runs = _run_group([dataclasses.replace(arms[i], theta0=arms[i].theta0[lo:lo + rows])
+                               for i in group], iterations, seeds[lo:lo + rows])
+            for i, arm_traces in zip(group, runs):
+                traces[i] += arm_traces
+    return traces
+
+
+def _run_group(arms, iterations: int, seeds: np.ndarray) -> list[list[Trace]]:
+    """One lockstep group of :func:`run_optimization`: every arm's R runs
+    advance together.  Directions are drawn a chunk of iterations at a
+    time (at most ``CHUNK_ELEMENTS`` entries, at least one iteration) for
+    all R runs, once for all arms, even for a run that stopped in every
+    arm.  Each step evaluates the queries of the arms that share an
+    objective with one ``objectives.eval`` call (at most
+    ``BATCH_ELEMENTS`` point entries or the largest arm's), moves each
+    arm's live runs with :func:`_step` and checks them with one
+    ``clean_value`` call.  An arm's ``wall_ms`` is its own step's time plus
+    an equal share, among the running arms, of the step's shared work
+    (draw, evaluations, checks), divided by its rows still running."""
+    R, k, tag, d = seeds.size, arms[0].est_cfg.k, arms[0].est_cfg.tag, arms[0].obj.dim
     roots = sampling.stream_roots(seeds)
     per_chunk = max(1, CHUNK_ELEMENTS // (R * k * d))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zoar import bench
+from zoar import bench, optimizers
 from zoar.bench import Aggregate, RunConfig, Theta0Mode, Theta0Spec
 from zoar.estimators import EstimatorConfig
 from zoar.objectives import ObjectiveKind, ObjectiveSpec
@@ -113,15 +113,15 @@ def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch
         optimizer=OptimizerConfig(rule=rule, eta=eta, beta2=0.9),
         iterations=iterations, repeats=6, master_seed=7, theta0=Theta0Spec(lo=-2.5, hi=2.5))
     calls = []
-    run_optimization = bench.run_optimization
+    run_group = optimizers._run_group
 
     def counting(*args):
         calls.append(len(args[2]))
-        return run_optimization(*args)
+        return run_group(*args)
 
-    monkeypatch.setattr(bench, "run_optimization", counting)
+    monkeypatch.setattr(optimizers, "_run_group", counting)
     grouped = bench.run_experiment(cfg)
-    monkeypatch.setattr(bench, "LOCKSTEP_BUDGET", 1)
+    monkeypatch.setattr(optimizers, "LOCKSTEP_ELEMENTS", 1)
     alone = bench.run_experiment(cfg)
     assert calls == [6] + [1] * 6
     assert [t.diverged_at for t in grouped] == diverged_at
@@ -138,8 +138,9 @@ def test_mixed_divergence_in_a_group_matches_groups_of_one(tmp_path, monkeypatch
 
 
 def test_wide_repeats_keep_one_ring_live_at_a_time():
-    # d = 10^4 and n*k = 60: one repeat's ring is 4.8 MB, so the repeats run
-    # in groups of one, and two repeats peak no higher than one does
+    # d = 10^4 and n*k = 60: one repeat's ring is 4.8 MB, so the loop runs
+    # the repeats in groups of one, and two repeats peak no higher than one
+    # does plus a ring
     k, n, dim = 10, 6, 10_000
 
     def peak(repeats):
@@ -164,10 +165,27 @@ def test_wide_repeats_keep_one_ring_live_at_a_time():
     assert peak(2) < one + ring
 
 
-def test_sweep_keeps_no_more_history_than_its_largest_cell():
-    # two zoar rings (4.8 and 4.0 MB) exceed the larger alone, so those
-    # cells run apart; the vanilla cell keeps none and rides with one, and
-    # the sweep peaks below a zoar cell's peak plus the ring it leaves out
+def lockstep_plans(monkeypatch):
+    """The arm groups each ``run_optimization`` call packs, as the loop's
+    ``pack`` returns them (its per-step evaluation batches aside)."""
+    plans, pack = [], optimizers.pack
+
+    def spy(keys, sizes, budget):
+        bins = pack(keys, sizes, budget)
+        if budget == optimizers.LOCKSTEP_ELEMENTS:
+            plans.append(bins)
+        return bins
+
+    monkeypatch.setattr(optimizers, "pack", spy)
+    return plans
+
+
+def test_sweep_keeps_no_more_history_than_its_largest_cell(monkeypatch):
+    # the cells share one seed stream, so they are the arms of one loop
+    # call; two zoar rings (4.8 and 4.0 MB) exceed the larger alone, so the
+    # loop runs those arms apart; the vanilla cell keeps none and rides with
+    # one, and the sweep peaks below a zoar cell's peak plus the ring it
+    # leaves out
     k, dim = 10, 10_000
 
     def cfg(kind, n):
@@ -188,10 +206,11 @@ def test_sweep_keeps_no_more_history_than_its_largest_cell():
 
     grid = [cfg(EstimatorKind.ZOAR, 6), cfg(EstimatorKind.ZOAR, 5),
             cfg(EstimatorKind.VANILLA, 6)]
-    assert bench._arm_groups(grid) == [[0], [1, 2]]
     peak(grid[:1])  # allocations made once per process
     one = peak(grid[:1])
+    plans = lockstep_plans(monkeypatch)
     assert peak(grid) < one + 5 * k * dim * 8
+    assert plans == [[[0], [1, 2]]]
 
 
 @pytest.mark.parametrize("kinds,dim,calls", [
@@ -199,18 +218,20 @@ def test_sweep_keeps_no_more_history_than_its_largest_cell():
     ((EstimatorKind.VANILLA,), 10_000, [(1, 1)] * 5),
 ], ids=["vanilla-zohs", "vanilla-wide"])
 def test_lockstep_repeats_are_sized_by_kept_history(monkeypatch, kinds, dim, calls):
-    # a repeat holds its arms' history and one iteration's k*d directions:
-    # vanilla keeps no history and a ZOHS window is n*d doubles, so at
-    # d = 10^3 all 5 repeats (128 kB each) share one call, while at
-    # d = 10^4 the directions alone (0.8 MB) leave one repeat per call
+    # the loop gives a lockstep group of repeats 1 MiB
+    # (optimizers.LOCKSTEP_ELEMENTS): a repeat holds its arms' history and
+    # one iteration's k*d directions; vanilla keeps no history and a ZOHS
+    # window is n*d doubles, so at d = 10^3 all 5 repeats (128 kB each)
+    # share one group, while at d = 10^4 the directions alone (0.8 MB)
+    # leave one repeat per group
     runs = []
-    run_optimization = bench.run_optimization
+    run_group = optimizers._run_group
 
     def spy_run(arms, iterations, seeds):
         runs.append((len(arms), len(seeds)))
-        return run_optimization(arms, iterations, seeds)
+        return run_group(arms, iterations, seeds)
 
-    monkeypatch.setattr(bench, "run_optimization", spy_run)
+    monkeypatch.setattr(optimizers, "_run_group", spy_run)
     cfgs = [RunConfig(
         objective=ObjectiveSpec(ObjectiveKind.QUADRATIC, dim), estimator_kind=kind,
         estimator=EstimatorConfig(mu=0.05, k=10, n=6, tag=DistTag.GAUSSIAN),

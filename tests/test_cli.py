@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_bench import lockstep_plans
 
 from zoar import _kernels as kernels
-from zoar import bench, cli, objectives, sampling, verify
+from zoar import bench, cli, objectives, optimizers, sampling, verify
 from zoar.optimizers import Trace
 
 MINIMAL = """
@@ -665,25 +666,22 @@ def _load_workloads(monkeypatch):
 ], ids=["desk", "wide"])
 def test_benchmark_sweeps_lockstep_plans(tmp_path, monkeypatch, workload, groups, calls):
     # the sweeps of the benchmark's workloads: every cell of each sweep
-    # shares one seed stream, so each sweep is one group of arms.  A repeat
-    # holds its arms' history and one iteration's directions: a desk
-    # repeat's 56 kB of rings and 8 kB of directions let all 5 run in one
-    # call, while wide's ZoAR ring alone is 4.8 MB, so each call runs one
+    # shares one seed stream, so each sweep is one run_optimization call,
+    # whose arms make one lockstep group.  A repeat holds its arms' history
+    # and one iteration's directions, within the loop's 1 MiB
+    # (optimizers.LOCKSTEP_ELEMENTS): a desk repeat's 56 kB of rings and
+    # 8 kB of directions let all 5 run in one group, while wide's ZoAR ring
+    # alone is 4.8 MB, so each group runs one
     config = getattr(_load_workloads(monkeypatch), workload).config
-    plans, runs = [], []
-    arm_groups, run_optimization = bench._arm_groups, bench.run_optimization
-
-    def spy_groups(cfgs):
-        plans.append(arm_groups(cfgs))
-        return plans[-1]
+    runs, run_group = [], optimizers._run_group
 
     def spy_run(arms, iterations, seeds):
         runs.append((len(arms), len(seeds)))
-        return run_optimization(arms, iterations, seeds)
+        return run_group(arms, iterations, seeds)
 
     monkeypatch.delenv("ZOAR_SEED", raising=False)
-    monkeypatch.setattr(bench, "_arm_groups", spy_groups)
-    monkeypatch.setattr(bench, "run_optimization", spy_run)
+    plans = lockstep_plans(monkeypatch)
+    monkeypatch.setattr(optimizers, "_run_group", spy_run)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(config.format(master_seed=11))
     assert run_cli("sweep", str(cfg), "--out", str(tmp_path / "out")) == 0

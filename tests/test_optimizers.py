@@ -349,6 +349,25 @@ def test_wide_arms_are_evaluated_one_at_a_time():
     assert _loop_peak(arms, n + 2, [3]) < ring + chunk + 2 * points + 6 * row + (64 << 10)
 
 
+def test_wide_seeds_keep_one_ring_live_at_a_time():
+    # d = 10^4 and n*k = 60: one run's ring is 4.8 MB, past the loop's
+    # lockstep budget, so the loop runs the seeds one at a time and two
+    # seeds peak no higher than one seed plus one ring
+    d, k, n = 10_000, 10, 6
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, d)
+    est, cfg = EstimatorConfig(mu=0.05, k=k, n=n), OptimizerConfig(eta=0.001)
+
+    def peak(seeds):
+        theta0 = (kernels.uniform_doubles(3, len(seeds) * d) * 4 - 2).reshape(-1, d)
+        return _loop_peak([Arm(spec, EstimatorKind.ZOAR, est, cfg, theta0)], n + 1, seeds)
+
+    ring = n * k * d * 8
+    assert ring > optimizers.LOCKSTEP_ELEMENTS * 8
+    one = peak([3])
+    assert one > ring
+    assert peak([3, 4]) < one + ring
+
+
 def test_desk_shaped_sweep_peak_is_bounded_by_one_batch():
     # d = 100, k = 10, 5 repeats, noise on, vanilla and zoar at n = 1 and
     # 6: all four arms' 21 000 point entries go into one evaluation, whose
@@ -486,6 +505,18 @@ def test_run_takes_a_sequence_of_seeds():
     for seeds, theta0 in [(1, np.zeros(3)), (1, np.zeros((1, 3))), ([1, 2], np.zeros((1, 3)))]:
         with pytest.raises(ValueError, match="sequence of run seeds"):
             run_optimization([Arm(spec, EstimatorKind.VANILLA, est, cfg, theta0)], 2, seeds)
+
+
+def test_a_loop_needs_an_arm_and_a_seed():
+    # these failed with an IndexError at arms[0] and a ZeroDivisionError
+    # in the chunk size
+    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
+    arm = Arm(spec, EstimatorKind.VANILLA, EstimatorConfig(mu=0.05, k=2), OptimizerConfig(),
+              np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="at least one arm"):
+        run_optimization([], 3, [1])
+    with pytest.raises(ValueError, match="at least one run seed"):
+        run_optimization([arm], 3, [])
 
 
 def test_divergence_is_recorded_not_raised():
