@@ -10,7 +10,7 @@ same bits as the pure implementation, so the choice affects speed only.
 import numpy as np
 
 from . import pure
-from .bits import GOLDEN, MASK64, fold, mix64, np_fold, np_mix64, stream_words
+from .bits import GOLDEN, MASK64, fold, mix64, np_fold, stream_words
 from .pure import (COORDINATE, GAUSSIAN, SPHERE, materialize, uniform_doubles,
                    weighted_direction_sum)
 

@@ -7,7 +7,6 @@
    the pinned fdlibm logarithm in the tails, and the sphere norm as a
    sequential sum.  Every float operation follows pure.py's order; build
    with -ffp-contract=off so that no a*b+c is fused into an FMA.
-   normal_icdf_into(p, out) exposes the inverse CDF to the parity tests.
 
    Only the CPython API and the buffer protocol are used. */
 
@@ -142,32 +141,9 @@ static PyObject *fill_directions(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *normal_icdf_into(PyObject *self, PyObject *args)
-{
-    Py_buffer p, out;
-    if (!PyArg_ParseTuple(args, "y*w*", &p, &out))
-        return NULL;
-    int ok = p.len == out.len && p.len % 8 == 0;
-    if (ok) {
-        const double *pp = p.buf;
-        double *o = out.buf;
-        for (Py_ssize_t i = 0; i < p.len / 8; i++)
-            o[i] = normal_icdf(pp[i]);
-    }
-    PyBuffer_Release(&p);
-    PyBuffer_Release(&out);
-    if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "p and out must be float64 buffers of one length");
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef methods[] = {
     {"fill_directions", fill_directions, METH_VARARGS,
      "fill_directions(seeds, tag, out): one direction per uint64 seed into out."},
-    {"normal_icdf_into", normal_icdf_into, METH_VARARGS,
-     "normal_icdf_into(p, out): the pinned inverse normal CDF of float64 p."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -68,18 +68,6 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def np_mix64(z: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser on a uint64 array; returns a new
-    array and leaves ``z`` untouched.
-
-    0-d inputs are lifted to 1-d internally: numpy warns on *scalar*
-    integer wraparound even though the modular result is what we want.
-    """
-    z = np.array(z, dtype=np.uint64)
-    out = _mix64_inplace(np.atleast_1d(z))
-    return out[0] if z.ndim == 0 else out
-
-
 def np_fold(parent: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Vectorised :func:`fold`; broadcasts parent against data."""
     parent = np.asarray(parent, dtype=np.uint64)
@@ -92,9 +80,10 @@ def np_fold(parent: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def stream_words(seed: int, n: int) -> np.ndarray:
-    """First ``n`` raw 64-bit words of the stream rooted at ``seed``."""
-    words = np.arange(1, n + 1, dtype=np.uint64)
-    words *= _U_GOLDEN
-    words += np.uint64(seed & MASK64)
-    return _mix64_inplace(words)
+def stream_words(seeds: int | np.ndarray, n: int) -> np.ndarray:
+    """First ``n`` raw 64-bit words of the stream rooted at each of
+    ``seeds``, one seed or an array of them: shape
+    ``np.shape(seeds) + (n,)``, row ``i`` the stream of ``seeds[i]``."""
+    counters = np.arange(1, n + 1, dtype=np.uint64)
+    counters *= _U_GOLDEN
+    return _mix64_inplace(np.add(np.asarray(seeds, dtype=np.uint64)[..., None], counters))

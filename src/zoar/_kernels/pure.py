@@ -3,7 +3,8 @@
 Directions are generated with bit-pinned floating point, so results are
 stable across machines:
 
-* raw words      ``mix64(seed + (j+1)*GOLDEN)`` (see :mod:`.bits`)
+* raw words      ``mix64(seed + (j+1)*GOLDEN)``, every one of them from
+  :func:`.bits.stream_words`
 * open (0,1)     ``((word >> 12)*2 + 1) * 2**-53``  (odd numerator, never 0 or 1/2)
 * standard normal: rational inverse-CDF approximation (Acklam's
   coefficients, |rel err| < 1.2e-9), every step an IEEE-754
@@ -33,14 +34,15 @@ overwritten in the tails; its denominator has no root for
 r = (p - 1/2)**2 in [0, 1/4] (its minimum there is about 1.1e-4), so
 that spare work cannot raise a floating-point error.
 
-``materialize_block`` has a compiled twin in ``_ckern.c`` that performs
-the same operations in the same order and must return the same bits;
-every other surface exists only here.
+``materialize_block`` has a compiled twin, ``fill_directions``, the one
+function of ``_ckern.c``: it performs the same operations in the same
+order and must return the same bits; every other surface exists only
+here.
 """
 
 import numpy as np
 
-from .bits import GOLDEN, _mix64_inplace, np_mix64, stream_words
+from .bits import stream_words
 
 _TWO_NEG53 = 1.0 / 9007199254740992.0
 _SQRT_HALF = 0.70710678118654752440
@@ -155,11 +157,6 @@ def uniform_doubles(seed: int, n: int) -> np.ndarray:
     return p
 
 
-def _block_words(seeds: np.ndarray, n: int) -> np.ndarray:
-    counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    return _mix64_inplace(seeds[:, None] + counters[None, :])
-
-
 def _sequential_row_sums_of_squares(g: np.ndarray) -> np.ndarray:
     """Per row, ``g[i,0]**2 + g[i,1]**2 + ...`` added strictly left to right."""
     rows, dim = g.shape
@@ -174,16 +171,19 @@ def _sequential_row_sums_of_squares(g: np.ndarray) -> np.ndarray:
 
 
 def materialize_block(seeds: np.ndarray, tag: int, dim: int) -> np.ndarray:
-    """Materialise one direction per seed; returns shape (len(seeds), dim)."""
+    """Materialise one direction per seed; returns shape (len(seeds), dim).
+    At dim 0 a Gaussian or sphere block is empty; a coordinate one has no
+    axis to draw and raises ``ValueError`` unless it has no rows."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     if tag == COORDINATE:
-        first = np_mix64(seeds + np.uint64(GOLDEN))
-        idx = (first % np.uint64(dim)).astype(np.intp)
+        if dim == 0 and seeds.size:
+            raise ValueError("coordinate directions need dim >= 1")
+        idx = (stream_words(seeds, 1)[:, 0] % np.uint64(dim)).astype(np.intp)
         out = np.zeros((seeds.shape[0], dim))
         out[np.arange(seeds.shape[0]), idx] = 1.0
         return out
-    g = _normal_icdf_inplace(_words_to_open01(_block_words(seeds, dim)))
-    if tag == SPHERE:
+    g = _normal_icdf_inplace(_words_to_open01(stream_words(seeds, dim)))
+    if tag == SPHERE and dim:
         nrm = np.sqrt(_sequential_row_sums_of_squares(g))
         g /= nrm[:, None]
     return g

@@ -99,9 +99,9 @@ def run_experiment(cfg: RunConfig) -> list[Trace]:
 
 
 def _stream(cfg: RunConfig) -> tuple:
-    """What fixes a cell's seeds and the shape of its directions."""
-    return (cfg.master_seed, cfg.repeats, cfg.iterations, cfg.objective.dim,
-            cfg.estimator.k, cfg.estimator.tag)
+    """What fixes a cell's run seeds: the repeats of its master seed, and
+    how many iterations each draws."""
+    return (cfg.master_seed, cfg.repeats, cfg.iterations)
 
 
 def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
@@ -112,9 +112,9 @@ def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
     the same master seed see matched initial points and directions.  The
     cells that share a :func:`_stream` run as the arms of one
     :func:`run_optimization` call, which takes every repeat's seed and
-    start, draws each chunk of seeds and directions once for all of them
-    and decides which arms and repeats advance in lockstep.  A repeat's
-    trace does not depend on the cells it ran with.
+    start and decides which arms share each chunk of directions and which
+    arms and repeats advance in lockstep.  A repeat's trace does not
+    depend on the cells it ran with.
     """
     streams: dict = {}
     for i, cfg in enumerate(cfgs):

@@ -333,10 +333,11 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     entry: one estimator is a list of one arm, and a call takes every run
     of a seed stream.
 
-    Run r of every arm draws the directions and noise seeds of seed r, so
-    the arms must agree on k, the direction law and the dimension.  The
-    call cuts its lockstep groups itself: it packs the arms (:func:`pack`)
-    by the history a run of each keeps, up to ``LOCKSTEP_ELEMENTS`` or the
+    Run r of every arm draws from seed r's streams; the arms that share
+    k, the direction law and the dimension share one draw of its
+    directions.  The call cuts its lockstep groups itself: it packs the
+    arms (:func:`pack`) by that direction stream, each bin holding the
+    history a run of its arms keeps up to ``LOCKSTEP_ELEMENTS`` or its
     largest arm's, and a group takes as many runs as fit that budget with
     one iteration's k*d directions, and at least one.  Each run gets the
     trace it would get alone.  A run stops after the first clean value
@@ -352,15 +353,11 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
     if not seeds.size:
         raise ValueError("a loop needs at least one run seed")
     R = seeds.size
-    k, tag, d = arms[0].est_cfg.k, arms[0].est_cfg.tag, arms[0].obj.dim
     for arm in arms:
-        shape = np.shape(arm.theta0)
-        if seeds.ndim != 1 or shape != (R, d):
+        shape, want = np.shape(arm.theta0), (R, arm.obj.dim)
+        if seeds.ndim != 1 or shape != want:
             raise ValueError(f"expected a sequence of run seeds and initial points of shape "
-                             f"{(R, d)}, got seeds of shape {seeds.shape} and {shape}")
-        if (arm.est_cfg.k, arm.est_cfg.tag, arm.obj.dim) != (k, tag, d):
-            raise ValueError("the arms of one loop must share k, the direction law "
-                             "and the dimension")
+                             f"{want}, got seeds of shape {seeds.shape} and {shape}")
         if not np.all(np.isfinite(arm.theta0)):
             raise ValueError("initial point contains non-finite entries")
         if arm.kind is EstimatorKind.ZOAR:
@@ -368,7 +365,9 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
 
     traces: list[list[Trace]] = [[] for _ in arms]
     history = [arm.history_elements for arm in arms]
-    for group in pack([None] * len(arms), history, LOCKSTEP_ELEMENTS):
+    streams = [(arm.est_cfg.k, arm.est_cfg.tag, arm.obj.dim) for arm in arms]
+    for group in pack(streams, history, LOCKSTEP_ELEMENTS):
+        k, _, d = streams[group[0]]
         rows = max(1, LOCKSTEP_ELEMENTS // (k * d + sum(history[i] for i in group)))
         for lo in range(0, R, rows):
             runs = _run_group([dataclasses.replace(arms[i], theta0=arms[i].theta0[lo:lo + rows])
@@ -379,17 +378,18 @@ def run_optimization(arms, iterations: int, seeds) -> list[list[Trace]]:
 
 
 def _run_group(arms, iterations: int, seeds: np.ndarray) -> list[list[Trace]]:
-    """One lockstep group of :func:`run_optimization`: every arm's R runs
-    advance together.  Directions are drawn a chunk of iterations at a
-    time (at most ``CHUNK_ELEMENTS`` entries, at least one iteration) for
-    all R runs, once for all arms, even for a run that stopped in every
-    arm.  Each step evaluates the queries of the arms that share an
-    objective with one ``objectives.eval`` call (at most
-    ``BATCH_ELEMENTS`` point entries or the largest arm's), moves each
-    arm's live runs with :func:`_step` and checks them with one
-    ``clean_value`` call.  An arm's ``wall_ms`` is its own step's time plus
-    an equal share, among the running arms, of the step's shared work
-    (draw, evaluations, checks), divided by its rows still running."""
+    """One lockstep group of :func:`run_optimization`, whose arms share
+    one direction stream (k, law, d): every arm's R runs advance
+    together.  Directions are drawn a chunk of iterations at a time (at
+    most ``CHUNK_ELEMENTS`` entries, at least one iteration) for all R
+    runs, once for all arms, even for a run that stopped in every arm.
+    Each step evaluates the queries of the arms that share an objective
+    with one ``objectives.eval`` call (at most ``BATCH_ELEMENTS`` point
+    entries or the largest arm's), moves each arm's live runs with
+    :func:`_step` and checks them with one ``clean_value`` call.  An
+    arm's ``wall_ms`` is its own step's time plus an equal share, among
+    the running arms, of the step's shared work (draw, evaluations,
+    checks), divided by its rows still running."""
     R, k, tag, d = seeds.size, arms[0].est_cfg.k, arms[0].est_cfg.tag, arms[0].obj.dim
     roots = sampling.stream_roots(seeds)
     per_chunk = max(1, CHUNK_ELEMENTS // (R * k * d))

@@ -2,11 +2,12 @@
 
 ``materialize_block`` has a compiled twin: ``_ckern.c``, built here with
 ``setup.py``'s own extension into a temporary directory, must give the
-pure backend's bits, and so must its inverse normal CDF.  These tests
-skip only where no C compiler is found.  The rest check the pure backend
-alone: its in-place inverse normal CDF bit for bit against the plain
-expressions of the spec kept here as a reference, and against scipy's
-as an independent oracle.
+pure backend's bits.  Its one function fills directions, so its inverse
+normal CDF is reached through dim-1 directions whose seeds put their one
+word on a chosen p.  These tests skip only where no C compiler is found.
+The rest check the pure backend alone: its in-place inverse normal CDF
+bit for bit against the plain expressions of the spec kept here as a
+reference, and against scipy's as an independent oracle.
 """
 
 import importlib.util
@@ -77,22 +78,48 @@ def test_materialize_block_parity(tag, compiled_block):
 
 
 def test_icdf_parity_dense(ckern):
-    p = np.concatenate([
-        np.linspace(1e-12, 1 - 1e-12, 200001),
-        10.0 ** np.linspace(-300, -1, 5000),
-        1.0 - 10.0 ** np.linspace(-16, -1, 5000),
-    ])
-    out = np.empty_like(p)
-    ckern.normal_icdf_into(p, out)
-    assert np.array_equal(pure.normal_icdf(p), out)
+    # every p the kernel can draw is (2m+1)/2**53: a spread across (0, 1)
+    # and both tails from 2**-53 to 0.1
+    tail = np.floor(10.0 ** np.linspace(-53 * math.log10(2), -1, 5000) * 2.0**52)
+    m = np.concatenate([np.floor(np.linspace(1e-12, 1 - 1e-12, 200001) * 2.0**52),
+                        tail, 2.0**52 - 1 - tail]).astype(np.uint64)
+    seeds = seeds_with_first_numerators(m)
+    p = odd_grid(m)
+    assert np.array_equal(pure._words_to_open01(bits.stream_words(seeds, 1)[:, 0]), p)
+    out = np.empty((m.size, 1))
+    ckern.fill_directions(seeds, pure.GAUSSIAN, out)
+    assert np.array_equal(pure.normal_icdf(p), out[:, 0])
 
 
-def test_compiled_block_rejects_bad_shapes(ckern, compiled_block):
-    assert compiled_block(np.zeros(0, dtype=np.uint64), pure.COORDINATE, 0).shape == (0, 0)
-    with pytest.raises(ValueError):
-        compiled_block([1], pure.COORDINATE, 0)
+def test_compiled_kernel_has_one_function(ckern):
+    assert [name for name in dir(ckern) if not name.startswith("_")] == ["fill_directions"]
+
+
+def test_compiled_block_rejects_bad_shapes(ckern):
     with pytest.raises(ValueError):
         ckern.fill_directions(np.zeros(2, dtype=np.uint64), pure.GAUSSIAN, np.empty(5))
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend_block(request):
+    if request.param == "pure":
+        return pure.materialize_block
+    return request.getfixturevalue("compiled_block")
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_backends_agree_at_dim_zero(backend_block, rows):
+    # a Gaussian or sphere block has no entries; a coordinate one has no
+    # axis to draw, which only an empty block survives
+    seeds = np.arange(rows, dtype=np.uint64)
+    with np.errstate(all="raise"):
+        for tag in (pure.GAUSSIAN, pure.SPHERE):
+            assert backend_block(seeds, tag, 0).shape == (rows, 0)
+        if rows:
+            with pytest.raises(ValueError, match="dim >= 1"):
+                backend_block(seeds, pure.COORDINATE, 0)
+        else:
+            assert backend_block(seeds, pure.COORDINATE, 0).shape == (0, 0)
 
 
 def test_icdf_against_scipy():
@@ -168,23 +195,23 @@ def test_icdf_without_tail_entries_matches_reference():
         assert np.array_equal(pure.normal_icdf(p), reference_normal_icdf(p))
 
 
-def inverse_mix64(w: int) -> int:
-    """z with ``bits.mix64(z) == w``: SplitMix64's finaliser is a bijection."""
+def inverse_mix64(w: np.ndarray) -> np.ndarray:
+    """z with ``bits.mix64(z) == w`` for each uint64 entry: SplitMix64's
+    finaliser is a bijection."""
     def unshift(z, s):
         x = z
         for _ in range(64 // s + 1):
-            x = z ^ (x >> s)
+            x = z ^ (x >> np.uint64(s))
         return x
 
     w = unshift(w, 31)
-    w = unshift(w * pow(bits._M2, -1, 2**64) & bits.MASK64, 27)
-    return unshift(w * pow(bits._M1, -1, 2**64) & bits.MASK64, 30)
+    w = unshift(w * np.uint64(pow(bits._M2, -1, 2**64)), 27)
+    return unshift(w * np.uint64(pow(bits._M1, -1, 2**64)), 30)
 
 
 def seeds_with_first_numerators(m: np.ndarray) -> np.ndarray:
     """Seeds whose direction's first entry comes from p = (2m+1)/2**53."""
-    return np.array([(inverse_mix64(int(x) << 12) - bits.GOLDEN) & bits.MASK64
-                     for x in m], dtype=np.uint64)
+    return inverse_mix64(np.asarray(m, dtype=np.uint64) << np.uint64(12)) - np.uint64(bits.GOLDEN)
 
 
 def read_only(a):
@@ -212,7 +239,7 @@ def test_kernels_leave_arguments_unchanged(seeds, dim, p, thetas):
             "column": read_only(seeds[:, None])}
     before = {k: v.tobytes() for k, v in args.items()}
     with np.errstate(all="raise"):
-        bits.np_mix64(args["seeds"])
+        bits.stream_words(args["seeds"], 2)
         bits.np_fold(args["column"], args["seeds"])
         bits.np_fold(args["seeds"], np.uint64(7))
         pure.normal_icdf(args["p"])
@@ -266,11 +293,27 @@ def test_mix64_reference_values():
     assert bits.fold(1, 2) != bits.fold(2, 1)
 
 
+STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(), (1,), (5,), (2, 3), (4, 1)]), n=st.integers(0, 9),
+       pool=st.lists(STREAM_SEEDS, min_size=6, max_size=6))
+def test_stream_words_rows_are_their_seeds_streams(shape, n, pool):
+    seeds = np.array(pool[:math.prod(shape)], dtype=np.uint64).reshape(shape)
+    words = bits.stream_words(seeds, n)
+    assert words.shape == shape + (n,)
+    for i in np.ndindex(shape):
+        seed = int(seeds[i])
+        assert np.array_equal(words[i], bits.stream_words(seed, n))
+        assert words[i].tolist() == [bits.mix64(seed + (j + 1) * bits.GOLDEN) for j in range(n)]
+
+
 def test_python_and_numpy_fold_agree():
     for a in (0, 7, 2**63 + 5, 2**64 - 1):
         for b in (0, 1, 977, 2**64 - 2):
             assert bits.fold(a, b) == int(bits.np_fold(np.uint64(a), np.uint64(b)))
-            assert bits.mix64(a) == int(bits.np_mix64(np.uint64(a)))
+            assert bits.mix64(a) == bits.stream_words((a - bits.GOLDEN) & bits.MASK64, 1)[0]
 
 
 def test_experiment_outputs_identical_across_backends(tmp_path, monkeypatch,

@@ -579,10 +579,21 @@ def test_chunks_draw_every_row_and_steps_read_views_until_a_row_leaves(monkeypat
             assert dirs.shape == (R - 1, k, d) and np.array_equal(dirs, chunk[:R - 1])
 
 
-def test_arms_of_one_loop_must_share_the_direction_stream():
-    spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 3)
-    cfg, theta0 = OptimizerConfig(), np.zeros((2, 3))
-    arms = [Arm(spec, EstimatorKind.VANILLA, EstimatorConfig(mu=0.05, k=k), cfg, theta0)
-            for k in (2, 3)]
-    with pytest.raises(ValueError, match="must share k"):
-        run_optimization(arms, 2, [1, 2])
+def test_arms_of_different_direction_streams_share_one_loop():
+    # arms that differ in k, the direction law or the dimension draw apart,
+    # however they are ordered in the call
+    seeds, cfg = [3, 2**64 - 5], OptimizerConfig(rule=UpdateRule.RADAZO, eta=0.01)
+
+    def arm(kind, k, tag, d):
+        theta0 = (kernels.uniform_doubles(d, len(seeds) * d) - 0.5).reshape(-1, d)
+        return Arm(ObjectiveSpec(ObjectiveKind.ROSENBROCK, d, noise_sigma=0.1), kind,
+                   EstimatorConfig(mu=0.05, k=k, n=2, tag=tag), cfg, theta0)
+
+    arms = [arm(EstimatorKind.ZOAR, 3, DistTag.GAUSSIAN, 4),
+            arm(EstimatorKind.VANILLA, 2, DistTag.GAUSSIAN, 4),
+            arm(EstimatorKind.ZOHS, 3, DistTag.SPHERE, 4),
+            arm(EstimatorKind.VANILLA, 3, DistTag.COORDINATE, 6)]
+    for a, traces in zip(arms, run_optimization(arms, 15, seeds)):
+        [alone] = run_optimization([a], 15, seeds)
+        assert [t.f_clean.tolist() for t in traces] == [t.f_clean.tolist() for t in alone]
+        assert [t.queries_per_iter for t in traces] == [t.queries_per_iter for t in alone]
