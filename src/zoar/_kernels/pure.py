@@ -171,22 +171,26 @@ def _sequential_row_sums_of_squares(g: np.ndarray) -> np.ndarray:
 
 
 def materialize_block(seeds: np.ndarray, tag: int, dim: int) -> np.ndarray:
-    """Materialise one direction per seed; returns shape (len(seeds), dim).
+    """Materialise one direction per seed; returns shape seeds.shape + (dim,)
+    for seeds of one or more axes, as the compiled kernel does (a 0-d seed,
+    which no caller passes, gets (1, dim) there).
     At dim 0 a Gaussian or sphere block is empty; a coordinate one has no
     axis to draw and raises ``ValueError`` unless it has no rows."""
     seeds = np.asarray(seeds, dtype=np.uint64)
+    shape = seeds.shape + (dim,)
+    seeds = seeds.reshape(-1)
     if tag == COORDINATE:
         if dim == 0 and seeds.size:
             raise ValueError("coordinate directions need dim >= 1")
         idx = (stream_words(seeds, 1)[:, 0] % np.uint64(dim)).astype(np.intp)
         out = np.zeros((seeds.shape[0], dim))
         out[np.arange(seeds.shape[0]), idx] = 1.0
-        return out
+        return out.reshape(shape)
     g = _normal_icdf_inplace(_words_to_open01(stream_words(seeds, dim)))
     if tag == SPHERE and dim:
         nrm = np.sqrt(_sequential_row_sums_of_squares(g))
         g /= nrm[:, None]
-    return g
+    return g.reshape(shape)
 
 
 def materialize(seed: int, tag: int, dim: int) -> np.ndarray:

@@ -94,7 +94,8 @@ def _starts(cfg: RunConfig, seeds: list[int]) -> np.ndarray:
 
 
 def run_experiment(cfg: RunConfig) -> list[Trace]:
-    """One trace per repeat: the sweep of one cell (:func:`run_sweep`)."""
+    """One trace per repeat: the sweep of one cell (:func:`run_sweep`).
+    No command calls it; it stays for perfbench's tracer and the tests."""
     return run_sweep([cfg])[0]
 
 
@@ -132,9 +133,8 @@ def run_sweep(cfgs: list[RunConfig]) -> list[list[Trace]]:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Per-iteration mean/std of the gap across completed repeats."""
+    """Per-iteration mean/std of the gap across completed repeats (entry i: iteration i)."""
 
-    iters: np.ndarray
     mean_gap: np.ndarray
     std_gap: np.ndarray
     n: int
@@ -156,13 +156,13 @@ def aggregate(traces: list[Trace]) -> Aggregate:
         raise ValueError("completed traces disagree on length")
     # every objective's minimum is 0, so the gap is the clean value
     gaps = np.array([t.f_clean for t in kept])
-    return Aggregate(iters=np.arange(gaps.shape[1]), mean_gap=gaps.mean(axis=0),
-                     std_gap=gaps.std(axis=0), n=len(kept), excluded=excluded)
+    return Aggregate(mean_gap=gaps.mean(axis=0), std_gap=gaps.std(axis=0), n=len(kept),
+                     excluded=excluded)
 
 
 def _first_at_or_below(agg: Aggregate, target: float) -> int | None:
     hits = np.nonzero(agg.mean_gap <= target)[0]
-    return int(agg.iters[hits[0]]) if hits.size else None
+    return int(hits[0]) if hits.size else None
 
 
 def _ratio(ref, cand) -> float | None:
@@ -241,8 +241,8 @@ def read_trace_csv(path) -> Trace:
 
 def write_aggregate_csv(agg: Aggregate, path) -> None:
     lines = [AGGREGATE_HEADER]
-    for i in range(agg.iters.shape[0]):
-        lines.append(f"{int(agg.iters[i])},{_fmt(agg.mean_gap[i])},"
+    for i in range(agg.mean_gap.shape[0]):
+        lines.append(f"{i},{_fmt(agg.mean_gap[i])},"
                      f"{_fmt(agg.std_gap[i])},{agg.n}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -275,8 +275,7 @@ def read_aggregate_csv(path) -> Aggregate:
                                  f"row, got {ns[-1]}")
     if not iters:
         raise ValueError("line 2: aggregate file has no data rows")
-    return Aggregate(iters=np.array(iters), mean_gap=np.array(means),
-                     std_gap=np.array(stds), n=ns[0])
+    return Aggregate(mean_gap=np.array(means), std_gap=np.array(stds), n=ns[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +298,7 @@ def emit_plot_svg(named_aggregates: list[tuple[str, Aggregate]], path,
         return np.log10(np.maximum(values, LOG_FLOOR)) if log_y else values
 
     all_y = np.concatenate([ymap(agg.mean_gap) for _, agg in named_aggregates])
-    all_x = np.concatenate([agg.iters for _, agg in named_aggregates])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    x_lo, x_hi = 0.0, float(max(agg.mean_gap.shape[0] for _, agg in named_aggregates) - 1)
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -334,7 +332,7 @@ def emit_plot_svg(named_aggregates: list[tuple[str, Aggregate]], path,
         color = _PALETTE[idx % len(_PALETTE)]
         ys = ymap(agg.mean_gap)
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
-                       for x, y in zip(agg.iters, ys))
+                       for x, y in enumerate(ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * idx

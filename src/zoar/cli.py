@@ -234,7 +234,7 @@ def cmd_run(args) -> int:
             return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before the run
-    return _write_run(cfg, bench.run_experiment(cfg), out_dir, ref)[0]
+    return _write_run(cfg, bench.run_sweep([cfg])[0], out_dir, ref)[0]
 
 
 def cmd_verify(args) -> int:

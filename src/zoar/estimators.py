@@ -50,7 +50,8 @@ optimisation loop passes R runs at once as (R, d) parameters, and every
 row gets the bits it would get alone.  The ring holds R runs (R = 1 for
 one), and :func:`zoar_estimate` gives one row per run.  ``fd_estimate``
 and the score-function forms are the one-run case, keyed on (iteration,
-master seed).
+master seed); they return the gradient alone, and the loop counts its
+own queries (``optimizers.Arm.queries_per_iter``).
 """
 
 import math
@@ -179,7 +180,9 @@ def direction_scale(tag: DistTag, dim: int) -> float:
 
 
 def directions(dir_seeds: np.ndarray, tag: DistTag, dim: int) -> np.ndarray:
-    """The (..., dim) directions of an array of seeds, from one kernel call."""
+    """The (..., dim) directions of an array of seeds, from one kernel call
+    on the flat seeds, as perfbench's tracer counts them (len(seeds) * dim
+    normals)."""
     dirs = kernels.materialize_block(dir_seeds.reshape(-1), int(tag), dim)
     return dirs.reshape(dir_seeds.shape + (dim,))
 
@@ -200,7 +203,7 @@ def write_points(out: np.ndarray, theta: np.ndarray, mu: float, dirs: np.ndarray
         out[..., k, :] = theta
 
 
-def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
+def query_block(obj, theta: np.ndarray, mu: float, dirs: np.ndarray,
                 noise_seeds, centre: bool = False) -> np.ndarray:
     """Evaluate one iteration's k perturbed points theta + mu*u_j.
 
@@ -214,7 +217,7 @@ def query_block(obj, theta: np.ndarray, cfg: EstimatorConfig, dirs: np.ndarray,
     k, d = dirs.shape[-2:]
     lead = np.broadcast_shapes(theta.shape[:-1], dirs.shape[:-2])
     points = np.empty(lead + (k + int(centre), d))
-    write_points(points, theta, cfg.mu, dirs, centre)
+    write_points(points, theta, mu, dirs, centre)
     return objectives.eval(obj, points, noise_seeds)
 
 
@@ -258,17 +261,17 @@ def difference_gradient(values: np.ndarray, dirs: np.ndarray, cfg: EstimatorConf
 
 def _difference_kernel(obj, theta, cfg: EstimatorConfig, iteration: int,
                        master_seed: int, gamma: float | None = None):
-    """One run's difference estimate; returns (gradient, queries_used)."""
+    """One run's (d,) difference-style gradient."""
     theta = sampling.as_params(theta)
     dirs = directions(sampling.direction_seeds(master_seed, iteration, cfg.k),
                       cfg.tag, theta.shape[-1])
-    values = query_block(obj, theta, cfg, dirs, sampling.noise_seed(master_seed, iteration),
+    values = query_block(obj, theta, cfg.mu, dirs, sampling.noise_seed(master_seed, iteration),
                          centre=True)
-    return difference_gradient(values, dirs, cfg, gamma), cfg.k + 1
+    return difference_gradient(values, dirs, cfg, gamma)
 
 
 def fd_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
-                master_seed: int) -> tuple[np.ndarray, int]:
+                master_seed: int) -> np.ndarray:
     """Finite-difference gradient estimate averaged over k directions.
 
     Uses k perturbed queries plus one centre query, all sharing the
@@ -278,7 +281,7 @@ def fd_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
 
 
 def reinforce_gs_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
-                          master_seed: int) -> tuple[np.ndarray, int]:
+                          master_seed: int) -> np.ndarray:
     """Score-function estimate with the centre value as baseline.
 
     For Gaussian directions, (x_k - theta)/mu^2 * (f(x_k) - f(theta))
@@ -315,7 +318,7 @@ def gamma_factor(tag: DistTag, dim: int, mu: float) -> float:
 
 
 def reinforce_is_estimate(obj, theta, cfg: EstimatorConfig, iteration: int,
-                          master_seed: int) -> tuple[np.ndarray, int]:
+                          master_seed: int) -> np.ndarray:
     """Importance-weighted score-function estimate for any direction law.
 
     Equals gamma * fd_estimate with shared directions; the ratio is

@@ -6,26 +6,29 @@ measured standard errors (5 SE unless a check documents otherwise);
 only the algebraic identities use absolute tolerances (0 exactly, or
 1e-9 for the importance-scaling ratio).
 
-The history checks draw directions with :func:`estimators.directions`
-and turn them into points, values and noise through
-:func:`estimators.query_block`, the optimisation loop's own query path,
-in one sampler, :func:`_history_queries`, and sum them with the loop's
-``estimators._weighted_sum``.  Only the coefficients are the verifier's
-own: the averaged-baseline ones (:func:`_history_estimates`) and the raw
-values behind the squared error at fixed baselines
-(:func:`_baseline_variances`).
+Every query the verifier takes goes through the optimisation loop's own
+query path: directions from :func:`estimators.directions`, turned into
+points, values and noise by :func:`estimators.query_block`.  The history
+checks draw them in one sampler, :func:`_history_queries`, and sum them
+with the loop's ``estimators._weighted_sum``; the objective-equivalence
+check averages one-query blocks, the gradient-oracle check differences
+two-query ones, and the one-run checks call the loop's estimators.  Only
+the coefficients are the verifier's own: the averaged-baseline ones
+(:func:`_history_estimates`) and the raw values behind the squared error
+at fixed baselines (:func:`_baseline_variances`).
 
 The Monte-Carlo checks walk their trials in chunks of at most
-``TRIAL_CHUNK_ELEMENTS`` direction entries (trials x queries x d), so
+``estimators.SUM_ELEMENTS`` direction entries (trials x queries x d), so
 that one chunk's directions, points, values and noise digests (512 KiB
 each at 2**16 float64 entries) stay in a core's L2 cache while the pure
-kernel's few dozen elementwise passes run over them.  Every trial's work
-is independent: a chunk reduces each trial to a row of its own, and each
-reduction over trials runs on the assembled (trials, ...) array, so the
-reports do not depend on the chunk size.  No check holds more than a
-few (trials, d), (probes, trials) or (trials,) arrays besides one chunk:
-each chunk's arrays are dropped before the next chunk is drawn, also
-between the two seed streams of the objective-equivalence check.
+kernel's few dozen elementwise passes run over them, and a chunk's sums
+take the loop sum's one-pass form.  Every trial's work is independent: a
+chunk reduces each trial to a row of its own, and each reduction over
+trials runs on the assembled (trials, ...) array, so the reports do not
+depend on the chunk size.  No check holds more than a few (trials, d),
+(probes, trials) or (trials,) arrays besides one chunk: each chunk's
+arrays are dropped before the next chunk is drawn, also between the two
+seed streams of the objective-equivalence check.
 
 The checks of a suite depend only on their own arguments, so
 :func:`run_suite` runs them on one forked worker process per usable core
@@ -55,12 +58,6 @@ _NS_THETA = 0x13
 _NS_MASTER = 0x14
 _NS_NOISEROOT = 0x15
 
-# direction entries per trial chunk, chosen by timing the statistical
-# suite (pure backend, 2-vCPU Xeon with 2 MiB L2 per core, median of 4):
-# 2**14 1.63 s, 2**15 1.28 s, 2**16 1.08 s, 2**17 1.13 s, 2**18 1.35 s;
-# at most the loop sum's one-pass size, so a chunk's sums take that form
-TRIAL_CHUNK_ELEMENTS = estimators.SUM_ELEMENTS
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -82,9 +79,11 @@ class CheckReport:
 
 def _chunked(trials: int, per_trial: int):
     """(start, size) chunks of ``trials`` with at most
-    ``TRIAL_CHUNK_ELEMENTS`` entries each, given ``per_trial`` entries
-    per trial (at least one trial per chunk)."""
-    per_chunk = max(1, TRIAL_CHUNK_ELEMENTS // max(1, per_trial))
+    ``estimators.SUM_ELEMENTS`` entries each, given ``per_trial`` entries
+    per trial (at least one trial per chunk).  The statistical suite took
+    1.63, 1.28, 1.08, 1.13 and 1.35 s at 2**14 .. 2**18 entries (pure
+    backend, 2-vCPU Xeon with 2 MiB L2 per core, median of 4)."""
+    per_chunk = max(1, estimators.SUM_ELEMENTS // max(1, per_trial))
     start = 0
     while start < trials:
         size = min(per_chunk, trials - start)
@@ -112,7 +111,7 @@ def _history_queries(specs: list[ObjectiveSpec], theta_seq: np.ndarray,
     points and noise seeds, and dirs of shape (size, m, d), m =
     n_blocks·k, for trials start .. start + size - 1.
 
-    Trials are drawn ``TRIAL_CHUNK_ELEMENTS // (m·d)`` at a time (at
+    Trials are drawn ``estimators.SUM_ELEMENTS // (m·d)`` at a time (at
     least one), so the chunk's direction and point arrays fit in L2; each
     trial's queries depend on its own seeds alone, so their bits do not
     depend on the chunk size.  A consumer drops its references to a chunk
@@ -128,7 +127,7 @@ def _history_queries(specs: list[ObjectiveSpec], theta_seq: np.ndarray,
         dir_seeds = kernels.np_fold(block_roots[:, :, None], np.arange(cfg.k, dtype=np.uint64))
         noise_roots = kernels.np_fold(block_roots, np.uint64(_NS_NOISEROOT))
         dirs = estimators.directions(dir_seeds, cfg.tag, d)
-        values = [estimators.query_block(spec, theta_seq, cfg, dirs, noise_roots)
+        values = [estimators.query_block(spec, theta_seq, cfg.mu, dirs, noise_roots)
                   .reshape(size, m) for spec in specs]
         yield start, values, dirs.reshape(size, m, d)
         del dirs, values  # before the next chunk is drawn
@@ -176,20 +175,6 @@ def _baseline_variances(spec: ObjectiveSpec, theta_seq: np.ndarray,
     return sq.mean(axis=1)
 
 
-def _perturbed_values(spec: ObjectiveSpec, theta: np.ndarray, mu: float,
-                      tag: DistTag, root: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """F(theta + mu*u) for the direction u of each seed ``fold(root, c)``,
-    c in ``counters``.
-
-    The points are written over the directions' own array by
-    ``estimators.write_points``, and only the values outlive the call, so
-    one stream's chunk is gone before the other's is drawn.
-    """
-    u = kernels.materialize_block(kernels.np_fold(root, counters), int(tag), spec.dim)
-    estimators.write_points(u, theta, mu, u)
-    return objectives.clean_value(spec, u)
-
-
 def _require_trials(trials: int) -> None:
     if trials < 2:
         raise ValueError(f"a Monte-Carlo check needs at least 2 trials, got {trials}")
@@ -204,7 +189,9 @@ def check_objective_equivalence(spec: ObjectiveSpec, theta, mu: float,
 
     Stream A samples the policy's action x = theta + mu*u and averages
     F(x); stream B averages F(theta + mu*u) directly.  Passes when the
-    means differ by less than 5 combined standard errors.
+    means differ by less than 5 combined standard errors.  Trial c of a
+    stream is the one-query block of seed ``fold(root, c)``, the root its
+    noise seed; a chunk of it lives for one statement.
     """
     _require_trials(trials)
     theta = sampling.as_params(theta, spec.dim)
@@ -218,8 +205,11 @@ def check_objective_equivalence(spec: ObjectiveSpec, theta, mu: float,
     values_b = np.empty(trials)
     for start, size in _chunked(trials, spec.dim):
         counters = np.arange(start, start + size, dtype=np.uint64)
-        values_a[start:start + size] = _perturbed_values(spec, theta, mu, tag, root_a, counters)
-        values_b[start:start + size] = _perturbed_values(spec, theta, mu, tag, root_b, counters)
+        for root, values in ((root_a, values_a), (root_b, values_b)):
+            values[start:start + size] = estimators.query_block(
+                spec, theta, mu,
+                estimators.directions(kernels.np_fold(root, counters)[:, None], tag, spec.dim),
+                root)[:, 0]
     diff = abs(float(values_a.mean()) - float(values_b.mean()))
     se = math.sqrt(values_a.var(ddof=1) / trials + values_b.var(ddof=1) / trials)
     return CheckReport("objective_equivalence", diff <= 5.0 * se, diff, 5.0 * se,
@@ -246,8 +236,8 @@ def check_estimator_identity(dim: int, k: int, mu: float, trials: int,
         theta = 2.0 * kernels.uniform_doubles(sampling.fold(root, _NS_THETA), d_i) - 1.0
         cfg = EstimatorConfig(mu=mu_i, k=k_i, tag=DistTag.GAUSSIAN)
         master = sampling.fold(root, _NS_MASTER)
-        g_fd, _ = estimators.fd_estimate(spec, theta, cfg, 1, master)
-        g_rf, _ = estimators.reinforce_gs_estimate(spec, theta, cfg, 1, master)
+        g_fd = estimators.fd_estimate(spec, theta, cfg, 1, master)
+        g_rf = estimators.reinforce_gs_estimate(spec, theta, cfg, 1, master)
         worst = max(worst, float(np.max(np.abs(g_fd - g_rf))))
     return CheckReport("estimator_identity", worst == 0.0, worst, 0.0, trials,
                        detail=f"max componentwise |fd - score| over {trials} configs")
@@ -269,8 +259,8 @@ def check_is_scaling(tag: DistTag, dim: int, mu: float, trials: int,
         theta = 2.0 * kernels.uniform_doubles(sampling.fold(root, _NS_THETA), dim) - 1.0
         cfg = EstimatorConfig(mu=mu, k=4, tag=tag)
         master = sampling.fold(root, _NS_MASTER)
-        g_fd, _ = estimators.fd_estimate(spec, theta, cfg, 1, master)
-        g_is, _ = estimators.reinforce_is_estimate(spec, theta, cfg, 1, master)
+        g_fd = estimators.fd_estimate(spec, theta, cfg, 1, master)
+        g_is = estimators.reinforce_is_estimate(spec, theta, cfg, 1, master)
         ref = gamma * g_fd
         mask = np.abs(g_fd) > 1e-15
         if np.any(mask):
@@ -392,8 +382,8 @@ def check_lr_equivalence(spec: ObjectiveSpec, dim: int, tag: DistTag,
     master = sampling.fold(seed, _NS_MASTER)
     worst = 0.0
     for t in range(1, steps + 1):
-        g_z, _ = estimators.fd_estimate(spec, theta_z, cfg, t, master)
-        g_r, _ = estimators.reinforce_is_estimate(spec, theta_r, cfg, t, master)
+        g_z = estimators.fd_estimate(spec, theta_z, cfg, t, master)
+        g_r = estimators.reinforce_is_estimate(spec, theta_r, cfg, t, master)
         theta_z = theta_z - eta_z * g_z
         theta_r = theta_r - eta_r * g_r
         worst = max(worst, float(np.max(np.abs(theta_z - theta_r))))
@@ -402,18 +392,20 @@ def check_lr_equivalence(spec: ObjectiveSpec, dim: int, tag: DistTag,
 
 
 def check_gradient_oracle(spec: ObjectiveSpec, theta, seed: int) -> CheckReport:
-    """Directional finite differences against the gradient oracle."""
+    """Directional finite differences against the gradient oracle, from
+    query blocks of the clean objective at theta + h*v and theta + h*(-v)."""
     theta = sampling.as_params(theta, spec.dim)
     grad = objectives.grad_oracle(spec, theta)
     h = 1e-5
+    seeds = np.array([sampling.trial_seed(seed, i) for i in range(8)], dtype=np.uint64)
+    v = estimators.directions(seeds, DistTag.SPHERE, spec.dim)
+    values = estimators.query_block(ObjectiveSpec(spec.kind, spec.dim), theta, h,
+                                    np.stack([v, -v], axis=1), 0)
     worst = 0.0
-    for i in range(8):
-        v = kernels.materialize(sampling.trial_seed(seed, i), kernels.SPHERE, spec.dim)
-        directional = (objectives.clean_value(spec, theta + h * v)
-                       - objectives.clean_value(spec, theta - h * v)) / (2.0 * h)
-        ref = float(np.dot(grad, v))
-        denom = max(1.0, abs(ref))
-        worst = max(worst, abs(directional - ref) / denom)
+    for v_i, (f_plus, f_minus) in zip(v, values.tolist()):
+        directional = (f_plus - f_minus) / (2.0 * h)
+        ref = float(np.dot(grad, v_i))
+        worst = max(worst, abs(directional - ref) / max(1.0, abs(ref)))
     return CheckReport("gradient_oracle", worst < 1e-4, worst, 1e-4, 8,
                        detail=f"{spec.kind.value} d={spec.dim}")
 

@@ -334,10 +334,10 @@ def test_non_integer_count_is_config_error(tmp_path, capsys, section, key):
 
 
 def test_bad_reference_is_exit_2_before_running(tmp_path, monkeypatch, capsys):
-    def no_run(cfg):
+    def no_run(cfgs):
         raise AssertionError("the experiment ran before the reference was checked")
 
-    monkeypatch.setattr(bench, "run_experiment", no_run)
+    monkeypatch.setattr(bench, "run_sweep", no_run)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL)
     bad = tmp_path / "bad.csv"
@@ -437,10 +437,10 @@ def test_verify_seed_outside_u64_is_exit_2(capsys, seed):
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_master_seed_outside_u64_is_exit_2(tmp_path, monkeypatch, capsys, seed):
-    def no_run(cfg):
+    def no_run(cfgs):
         raise AssertionError("a run started with a seed outside [0, 2**64)")
 
-    monkeypatch.setattr(bench, "run_experiment", no_run)
+    monkeypatch.setattr(bench, "run_sweep", no_run)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL.replace("master_seed = 3", f"master_seed = {seed}"))
     assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
@@ -725,11 +725,11 @@ def test_sweep_keeps_results_in_memory(tmp_path, monkeypatch):
 
 def test_queries_total_comes_from_a_completed_repeat(tmp_path, monkeypatch):
     # repeat 0 diverged after one step; repeat 1 completed 3 iterations
-    def fake_run_experiment(cfg):
-        return [_trace([4.0, 2.0], 5, status="diverged"),
-                _trace([4.0, 3.0, 2.0, 1.0], 5)]
+    def fake_run_sweep(cfgs):
+        return [[_trace([4.0, 2.0], 5, status="diverged"),
+                 _trace([4.0, 3.0, 2.0, 1.0], 5)] for _ in cfgs]
 
-    monkeypatch.setattr(bench, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(bench, "run_sweep", fake_run_sweep)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL)
     out = tmp_path / "out"

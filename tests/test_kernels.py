@@ -77,6 +77,18 @@ def test_materialize_block_parity(tag, compiled_block):
                           compiled_block(seeds, tag, 37))
 
 
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("shape", [(2, 3), (2, 1, 3)])
+def test_backends_agree_on_seed_shape(tag, shape, compiled_block):
+    # each seed keeps its place: a block of seeds gives its own shape plus
+    # (dim,), the flat block's rows in the seeds' order
+    seeds = bits.stream_words(5, math.prod(shape)).reshape(shape)
+    a = pure.materialize_block(seeds, tag, 4)
+    assert a.shape == shape + (4,)
+    assert np.array_equal(a, compiled_block(seeds, tag, 4))
+    assert np.array_equal(a.reshape(-1, 4), pure.materialize_block(seeds.reshape(-1), tag, 4))
+
+
 def test_icdf_parity_dense(ckern):
     # every p the kernel can draw is (2m+1)/2**53: a spread across (0, 1)
     # and both tails from 2**-53 to 0.1

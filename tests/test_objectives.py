@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zoar._kernels as kernels
-from zoar import objectives, sampling, verify
+from zoar import estimators, objectives, sampling
 from zoar.objectives import ObjectiveKind, ObjectiveSpec, eval as obj_eval
 from zoar.sampling import DistTag
 
@@ -160,7 +160,8 @@ def test_smoothed_oracle_quadratic_sphere_closed_form():
                                             (np.array([1.0, 0.0, 0.0, 0.0]), 0.05,
                                              100000, 6, 0.50125)]:
         root = np.uint64(sampling.fold(seed, sampling.NS_TRIAL))
-        values = verify._perturbed_values(spec, theta, mu, DistTag.SPHERE, root,
-                                          np.arange(trials, dtype=np.uint64))
+        seeds = kernels.np_fold(root, np.arange(trials, dtype=np.uint64))
+        dirs = estimators.directions(seeds[:, None], DistTag.SPHERE, spec.dim)
+        values = estimators.query_block(spec, theta, mu, dirs, root)[:, 0]
         stderr = values.std(ddof=1) / math.sqrt(trials)
         assert abs(values.mean() - closed) < max(4.0 * stderr, 1e-12)

@@ -282,7 +282,7 @@ def test_difference_step_evaluates_centre_with_its_points(monkeypatch):
 
     monkeypatch.setattr(objectives, "eval", spy)
     estimators.difference_gradient(
-        estimators.query_block(spec, theta, cfg, dirs, noise[:, 0], centre=True), dirs, cfg)
+        estimators.query_block(spec, theta, cfg.mu, dirs, noise[:, 0], centre=True), dirs, cfg)
     [(points, values)] = seen
     assert points.shape == (R, cfg.k + 1, 6) and np.array_equal(points[:, -1], theta)
     for r in range(R):

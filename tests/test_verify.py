@@ -45,33 +45,39 @@ def test_batch_history_path_matches_production_estimator(sigma):
 
 def test_history_estimates_query_through_the_loop_sampler(monkeypatch):
     """Every chunk's queries come from one estimators.query_block call,
-    for the averaged-baseline estimates and for the baseline check, and
-    routing them there moves no output bit."""
+    for the averaged-baseline estimates, for the baseline check, and for
+    each stream of the objective-equivalence check, and routing them
+    there moves no output bit."""
     spec = ObjectiveSpec(ObjectiveKind.ACKLEY, 4, noise_sigma=0.1)
     theta_seq = np.array([[0.5, -0.2, 0.1, 0.9], [0.3, 0.3, -0.4, 0.0]])
     cfg = EstimatorConfig(mu=0.07, k=3, tag=DistTag.GAUSSIAN)
     quad = ObjectiveSpec(ObjectiveKind.QUADRATIC, 4, noise_sigma=0.1)
     sphere = EstimatorConfig(mu=0.07, k=3, tag=DistTag.SPHERE)
     grid = np.array([-1.0, 0.0, 2.5])
-    monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", 100)
+    monkeypatch.setattr(estimators, "SUM_ELEMENTS", 100)
     runs = [lambda: verify._history_estimates([spec], theta_seq, cfg, 23, seed=5)[0],
-            lambda: verify.check_optimal_baseline(quad, theta_seq, sphere, grid, 23, seed=5)]
+            lambda: verify.check_optimal_baseline(quad, theta_seq, sphere, grid, 23, seed=5),
+            lambda: verify.check_objective_equivalence(spec, theta_seq[0], cfg.mu, cfg.tag,
+                                                       60, seed=5)]
     before = [run() for run in runs]
 
     calls = []
     real = estimators.query_block
 
-    def spy(obj, theta, cfg_, dirs, noise_seeds):
+    def spy(obj, theta, mu, dirs, noise_seeds):
         calls.append(dirs.shape[:-1])
-        return real(obj, theta, cfg_, dirs, noise_seeds)
+        return real(obj, theta, mu, dirs, noise_seeds)
 
     monkeypatch.setattr(estimators, "query_block", spy)
     after = [run() for run in runs]
     chunks = list(verify._chunked(23, theta_seq.shape[0] * cfg.k * 4))
-    assert len(chunks) > 1
-    assert calls == [(size, theta_seq.shape[0], cfg.k) for _, size in chunks] * 2
+    trial_chunks = list(verify._chunked(60, 4))
+    assert len(chunks) > 1 and len(trial_chunks) > 1
+    # one call per history chunk of each run, one per stream per equivalence chunk
+    assert calls == ([(size, theta_seq.shape[0], cfg.k) for _, size in chunks] * 2
+                     + [(size, 1) for _, size in trial_chunks for _ in "AB"])
     assert np.array_equal(after[0], before[0])
-    assert after[1] == before[1]
+    assert after[1:] == before[1:]
 
     calls.clear()
     m = theta_seq.shape[0] * cfg.k
@@ -303,13 +309,13 @@ def test_interrupted_suite_leaves_no_child(monkeypatch):
 # one trial per chunk, a few trials per chunk with a short last chunk,
 # the production budget, and the budget the checks used before they were
 # sized to L2
-CHUNK_BUDGETS = [1, 100, verify.TRIAL_CHUNK_ELEMENTS, 4_000_000]
+CHUNK_BUDGETS = [1, 100, estimators.SUM_ELEMENTS, 4_000_000]
 
 
 def _under_budgets(monkeypatch, fn, budgets=CHUNK_BUDGETS):
     results = []
     for budget in budgets:
-        monkeypatch.setattr(verify, "TRIAL_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(estimators, "SUM_ELEMENTS", budget)
         results.append(fn())
     return results
 
@@ -462,27 +468,25 @@ def test_history_estimator_mean_peak_is_bounded():
 
 def test_objective_equivalence_peak_is_bounded():
     # acceptance size: the two streams' (trials,) values are 1.6 MB; with
-    # one stream's 0.5 MB chunk and Ackley's temporaries on top the check
-    # peaks at about 3.4 MiB, and read 4.43 MiB while stream A's chunk
-    # was still held during stream B's draw and evaluation
+    # one stream's 0.5 MB chunk of directions, its points' own buffer and
+    # Ackley's temporaries on top the check peaks at about 3.7 MiB, and
+    # read 4.43 MiB while stream A's chunk was still held during stream
+    # B's draw and evaluation
     peak = _traced_peak(lambda: verify.check_objective_equivalence(
         ObjectiveSpec(ObjectiveKind.ACKLEY, 5), 0.3 * np.ones(5), 0.05,
         DistTag.GAUSSIAN, 100000, 41))
     assert peak < 4 * MIB
 
 
-@pytest.mark.parametrize("check, surface, draws", [
+@pytest.mark.parametrize("check, draws", [
     (lambda spec, theta, cfg: verify.check_history_estimator_mean(spec, theta, cfg, 3000, 8),
-     (estimators, "directions"), 5),
+     5),
     (lambda spec, theta, cfg: verify.check_optimal_baseline(
-        spec, theta, cfg, 0.50125 + 0.05 * np.arange(-4, 5), 3000, 8),
-     (estimators, "directions"), 5),
+        spec, theta, cfg, 0.50125 + 0.05 * np.arange(-4, 5), 3000, 8), 5),
     (lambda spec, theta, cfg: verify.check_objective_equivalence(
-        spec, theta[0], cfg.mu, cfg.tag, 30000, 8),
-     (kernels, "materialize_block"), 10),
+        spec, theta[0], cfg.mu, cfg.tag, 30000, 8), 10),
 ], ids=["history_estimator_mean", "optimal_baseline", "objective_equivalence"])
-def test_history_checks_hold_no_chunk_while_the_next_is_drawn(monkeypatch, check, surface,
-                                                              draws):
+def test_history_checks_hold_no_chunk_while_the_next_is_drawn(monkeypatch, check, draws):
     # five chunks of 655 history trials, or of 6553 trials in each of the
     # objective-equivalence check's two streams: the traced size at each
     # draw's entry is the one the first draw found, so nothing of the
@@ -494,15 +498,14 @@ def test_history_checks_hold_no_chunk_while_the_next_is_drawn(monkeypatch, check
     theta[0, 0] = 1.0
     spec = ObjectiveSpec(ObjectiveKind.QUADRATIC, 10)
     cfg = EstimatorConfig(mu=0.05, k=10, tag=DistTag.SPHERE)
-    module, name = surface
-    draw = getattr(module, name)
+    draw = estimators.directions
     held = []
 
     def spy(*args):
         held.append(tracemalloc.get_traced_memory()[0])
         return draw(*args)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(estimators, "directions", spy)
     _traced_peak(lambda: check(spec, theta, cfg))
     assert len(held) == draws
     assert max(held[1:]) - held[0] < 64 << 10
